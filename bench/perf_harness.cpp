@@ -30,7 +30,6 @@
 #include <fstream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/perf_report.hpp"
@@ -45,7 +44,6 @@ namespace {
 using namespace mb;
 using bench::PresetPerf;
 using bench::ServePerf;
-using bench::ShardPerf;
 using bench::currentPeakRssKiB;
 
 struct Options {
@@ -58,7 +56,6 @@ struct Options {
   std::string updateBaseline;   // write events/sec table here
   double tolerance = 0.25;
   bool serve = false;           // measure the mbserve memo/LRU path too
-  int shardBench = 0;           // >0: measure --shards=N vs serial too
 };
 
 [[noreturn]] void usageError(const std::string& msg) {
@@ -67,7 +64,7 @@ struct Options {
                "usage: mbperf [--out=FILE] [--workload=NAME] [--instrs=N] "
                "[--repeat=N]\n              [--preset=NAME] [--baseline=FILE] "
                "[--tolerance=FRAC] [--update-baseline=FILE]\n"
-               "              [--serve] [--shard-bench[=N]]\n");
+               "              [--serve]\n");
   std::exit(2);
 }
 
@@ -99,11 +96,6 @@ Options parseArgs(int argc, char** argv) {
       if (o.tolerance <= 0.0) usageError("--tolerance must be positive");
     } else if (a == "--serve") {
       o.serve = true;
-    } else if (a == "--shard-bench") {
-      o.shardBench = 4;
-    } else if (a.rfind("--shard-bench=", 0) == 0) {
-      o.shardBench = std::atoi(val("--shard-bench=").c_str());
-      if (o.shardBench < 2) usageError("--shard-bench needs at least 2 shards");
     } else {
       usageError("unknown argument: " + a);
     }
@@ -204,53 +196,15 @@ ServePerf measureServe(const Options& o) {
   return s;
 }
 
-/// Sharded-engine measurement (DESIGN.md §14): the tsi-baseline preset under
-/// the multicore RADIX workload — the fig.8 configuration, where all 16
-/// channels carry traffic — timed at --shards=1 and --shards=N with
-/// best-of-`repeat` walls. Outputs are byte-identical by construction (the
-/// ShardDifferential tests gate that), so the two runs do exactly the same
-/// simulation work and the wall ratio isolates the engine. The ratio only
-/// means something relative to the host's hardware thread count, which is
-/// recorded alongside: with fewer free cores than workers the barrier
-/// crossings are pure overhead and a ratio below 1 is expected, not a
-/// regression — hence warn-only, like every other mbperf comparison.
-ShardPerf measureShard(const Options& o) {
-  sim::SystemConfig cfg = sim::tsiBaselineConfig();
-  cfg.core.maxInstrs = o.instrs;
-  cfg.hier.numCores = 64;
-  cfg.hier.coresPerCluster = 4;
-  const auto wl = sim::WorkloadSpec::mt(trace::MtKind::Radix);
-
-  ShardPerf s;
-  s.shards = o.shardBench;
-  s.channels = sim::resolvedChannels(cfg, wl);
-  s.hardwareThreads = std::thread::hardware_concurrency();
-  for (int pass = 0; pass < 2; ++pass) {
-    sim::RunOptions ro;
-    ro.shards = pass == 0 ? 1 : o.shardBench;
-    double best = 0.0;
-    for (int rep = 0; rep < o.repeat; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const sim::RunResult r = sim::runSimulation(cfg, wl, ro);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double wall = std::chrono::duration<double>(t1 - t0).count();
-      if (rep == 0 || wall < best) best = wall;
-      s.events = r.eventsProcessed;  // identical across shard counts
-    }
-    (pass == 0 ? s.serialSeconds : s.shardedSeconds) = best;
-  }
-  return s;
-}
-
 void writeJson(const std::vector<PresetPerf>& perfs, const Options& o,
-               const ServePerf* serve, const ShardPerf* shard) {
+               const ServePerf* serve) {
   std::ofstream out(o.out, std::ios::trunc);
   if (!out.good()) {
     std::fprintf(stderr, "mbperf: cannot write %s\n", o.out.c_str());
     std::exit(1);
   }
   out << bench::perfJson(perfs, {o.workload, o.instrs, o.repeat},
-                         currentPeakRssKiB(), serve, shard);
+                         currentPeakRssKiB(), serve);
 }
 
 std::map<std::string, double> readBaseline(const std::string& path) {
@@ -343,26 +297,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(servePerf.lruHits),
         static_cast<long long>(servePerf.lruMisses));
   }
-  ShardPerf shardPerf;
-  if (o.shardBench > 0) {
-    shardPerf = measureShard(o);
-    const double speedup = shardPerf.shardedSeconds > 0.0
-                               ? shardPerf.serialSeconds / shardPerf.shardedSeconds
-                               : 0.0;
-    std::printf(
-        "shard: serial %.4fs --shards=%d %.4fs (%.2fx) over %d channels, "
-        "%u hardware threads\n",
-        shardPerf.serialSeconds, shardPerf.shards, shardPerf.shardedSeconds,
-        speedup, shardPerf.channels, shardPerf.hardwareThreads);
-    if (speedup < 1.0 &&
-        shardPerf.hardwareThreads <= static_cast<unsigned>(shardPerf.shards))
-      std::printf(
-          "shard: NOTE only %u hardware threads for %d workers — parallel "
-          "speedup needs free cores; ratio reflects the host, not the engine\n",
-          shardPerf.hardwareThreads, shardPerf.shards);
-  }
-  writeJson(perfs, o, o.serve ? &servePerf : nullptr,
-            o.shardBench > 0 ? &shardPerf : nullptr);
+  writeJson(perfs, o, o.serve ? &servePerf : nullptr);
   std::printf("wrote %s\n", o.out.c_str());
   if (!o.updateBaseline.empty()) {
     writeBaseline(perfs, o);

@@ -50,23 +50,6 @@ struct ServePerf {
   std::int64_t lruMisses = 0;
 };
 
-/// Sharded-engine metrics (mbperf --shard-bench): wall clock of the SAME
-/// simulation at --shards=1 vs --shards=N (DESIGN.md §14). The outputs are
-/// byte-identical by construction, so `events` is a single number and the
-/// ratio is pure engine overhead/speedup. `hardwareThreads` records
-/// std::thread::hardware_concurrency() — without it the ratio is
-/// uninterpretable: a 1-core CI box CANNOT show a speedup (the workers and
-/// the main thread time-slice one CPU and the barrier crossings are pure
-/// overhead), which is a property of the host, not a regression.
-struct ShardPerf {
-  int shards = 0;
-  int channels = 0;
-  unsigned hardwareThreads = 0;
-  double serialSeconds = 0.0;
-  double shardedSeconds = 0.0;
-  std::uint64_t events = 0;
-};
-
 /// Process peak RSS in KiB. ru_maxrss is reported in KiB on Linux but in
 /// BYTES on macOS; every consumer goes through this helper so the unit quirk
 /// lives in exactly one place.
@@ -102,14 +85,10 @@ inline std::string fmtG(double v) {
 /// The MBPERF1 record. Built with unbounded string appends — no fixed-size
 /// line buffer anywhere — so arbitrarily long preset names stay valid JSON.
 /// `serve` (optional) adds a "serve" block with the memo-cache cold/cached
-/// latencies, the derived speedup, and the snapshot-LRU hit rate. `shard`
-/// (optional) adds a "shard" block with the serial vs sharded wall clock,
-/// both events/sec figures, the derived speedup, and the host's hardware
-/// thread count for context.
+/// latencies, the derived speedup, and the snapshot-LRU hit rate.
 inline std::string perfJson(const std::vector<PresetPerf>& perfs,
                             const ReportMeta& meta, long totalPeakRssKiB,
-                            const ServePerf* serve = nullptr,
-                            const ShardPerf* shard = nullptr) {
+                            const ServePerf* serve = nullptr) {
   double totalWall = 0.0;
   std::uint64_t totalEvents = 0;
   for (const auto& p : perfs) {
@@ -144,26 +123,6 @@ inline std::string perfJson(const std::vector<PresetPerf>& perfs,
         << fmtG(lruTotal > 0 ? static_cast<double>(serve->lruHits) /
                                    static_cast<double>(lruTotal)
                              : 0.0)
-        << '}';
-  }
-  if (shard != nullptr) {
-    out << ",\"shard\":{\"shards\":" << shard->shards
-        << ",\"channels\":" << shard->channels
-        << ",\"hardwareThreads\":" << shard->hardwareThreads
-        << ",\"serialSeconds\":" << fmtG(shard->serialSeconds)
-        << ",\"shardedSeconds\":" << fmtG(shard->shardedSeconds)
-        << ",\"speedup\":"
-        << fmtG(shard->shardedSeconds > 0.0
-                    ? shard->serialSeconds / shard->shardedSeconds
-                    : 0.0)
-        << ",\"events\":" << shard->events << ",\"serialEventsPerSec\":"
-        << fmtG(shard->serialSeconds > 0.0
-                    ? static_cast<double>(shard->events) / shard->serialSeconds
-                    : 0.0)
-        << ",\"shardedEventsPerSec\":"
-        << fmtG(shard->shardedSeconds > 0.0
-                    ? static_cast<double>(shard->events) / shard->shardedSeconds
-                    : 0.0)
         << '}';
   }
   out << ",\"totals\":{\"wallSeconds\":" << fmtG(totalWall)

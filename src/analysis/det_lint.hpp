@@ -1,7 +1,7 @@
 // Determinism & channel-ownership static analysis (mbdetcheck's engine).
 //
-// The sharded-simulation refactor (ROADMAP item 1) gives every memory
-// channel its own event queue; a run stays reproducible only if no
+// The windowed engine (DESIGN.md §14) gives every memory channel its own
+// event queue; a run stays reproducible only if no
 // component's behaviour depends on hash-table order, pointer values,
 // wall clocks, or hidden global state, and if every channel-local component
 // touches cross-channel machinery solely through declared interfaces. The

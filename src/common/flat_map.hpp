@@ -5,8 +5,8 @@
 // std::unordered_map. Keyed lookups there are deterministic, but any
 // *iteration* observes hash-table order — a function of the libstdc++
 // version, the allocator, and (for pointer keys) ASLR — which is exactly the
-// kind of latent nondeterminism that would poison sharded simulation (one
-// event queue per channel, merged by (when,seq)). FlatMap stores its entries
+// kind of latent nondeterminism that would poison windowed simulation (one
+// event queue per channel, merged by (when, stamp)). FlatMap stores its entries
 // as a vector sorted by key, so iteration order is the key order by
 // construction: a walk over a FlatMap can feed reports, serialization, or
 // scheduling decisions without an extra sort, and mbdetcheck (MB-DET-001)

@@ -1,13 +1,15 @@
 // Channel-ownership and determinism annotations, read by mbdetcheck.
 //
-// The sharded-simulation refactor (ROADMAP item 1) will give every memory
-// channel its own event queue and advance channels in bounded time windows.
-// That is only safe if the components a channel owns are *channel-local*
-// (no shared mutable state with other channels) and *deterministic* (no
-// hash-order, pointer-value, clock or hidden-global dependence). These
-// macros mark that contract in the source so tools/mbdetcheck can verify it
-// mechanically — they all expand to nothing and never change generated
-// code; mbdetcheck recognizes them lexically, in code or in comments.
+// The windowed engine (DESIGN.md §14) gives every memory channel its own
+// event queue and runs the channels one after another through each bounded
+// time window. That is only causal if the components a channel owns are
+// *channel-local* (no shared mutable state with other channels: a channel
+// that ran earlier in the window must not see what a later one does at an
+// earlier tick) and *deterministic* (no hash-order, pointer-value, clock or
+// hidden-global dependence). These macros mark that contract in the source
+// so tools/mbdetcheck can verify it mechanically — they all expand to
+// nothing and never change generated code; mbdetcheck recognizes them
+// lexically, in code or in comments.
 //
 //   class MB_CHANNEL_LOCAL MemoryController { ... };
 //     The type is owned by exactly one channel shard. Its state may only be
@@ -18,17 +20,17 @@
 //     definitions (Type::method).
 //
 //   class MB_CROSS_CHANNEL EventQueue { ... };
-//     The type is shared across channel shards (today: the global event
-//     queue, the CPU hierarchy above the LLC miss stream, run-wide sinks).
-//     The sharding PR must either split it per channel or mediate access
-//     through the window barrier.
+//     The type is shared across channel shards (the event queue type, the
+//     CPU hierarchy above the LLC miss stream, the engine and its mailbox,
+//     run-wide sinks). Channel-local code reaches it only through a
+//     declared interface.
 //
 //   MB_CHANNEL_IFACE(EventQueue)
 //     Placed inside a channel-local type (or in its implementation file):
 //     declares that this type intentionally references the named
 //     cross-channel type. Declared interfaces form the machine-checked
-//     ownership map (`mbdetcheck --ownership --json`): the exact seam the
-//     sharding refactor has to cut.
+//     ownership map (`mbdetcheck --ownership --json`): the exact seams
+//     between a channel and the rest of the system.
 //
 //   MB_DET_ALLOW(MB-DET-0xx, "reason")
 //     Suppresses a determinism finding on the same or the next source line.

@@ -1,16 +1,15 @@
-// Cross-shard message port for the channel-sharded engine (DESIGN.md §14).
+// Cross-shard message port for the windowed engine (DESIGN.md §14).
 //
-// In sharded execution every memory channel owns its own EventQueue and the
-// CPU hierarchy owns another; events may only be *scheduled* on the queue
-// they will run on. Work that crosses a channel boundary — an LLC miss
-// entering a channel, a read completion returning to the CPU side — is
-// therefore expressed as a message posted through this interface instead of
-// a direct scheduleAt on a foreign queue. The engine buffers messages until
-// the window whose span covers their due tick and only then materializes
-// them on the destination queue via scheduleStamped, under the EventStamp
-// minted at post time — so the merge position of a message is fixed by its
-// sender, not by delivery timing, and the execution order is independent of
-// the shard count and of worker scheduling.
+// Every memory channel owns its own EventQueue (a shard) and the CPU
+// hierarchy owns another; events may only be *scheduled* on the queue they
+// will run on. Work that crosses a channel boundary — an LLC miss entering
+// a channel, a read completion returning to the CPU side — is therefore
+// expressed as a message posted through this interface instead of a direct
+// scheduleAt on a foreign queue. The engine buffers messages until the
+// window whose span covers their due tick and only then materializes them
+// on the destination queue via scheduleStamped, under the EventStamp minted
+// at post time — so the merge position of a message is fixed by its
+// sender, not by delivery timing or by the order channels run in.
 //
 // This is a deliberate, declared cross-channel seam: mbdetcheck counts the
 // MB_CHANNEL_IFACE reference in MemoryController against this class.

@@ -86,7 +86,7 @@ class Histogram {
   /// one. Bucket counts and totals are integers and commute, but `sum_` is
   /// a double and FP addition is non-associative — callers reducing
   /// per-channel histograms MUST merge in channel-index order, never in
-  /// shard completion order, or mean() becomes scheduling-dependent
+  /// the order channels finished, or mean() depends on that order
   /// (MB-DET-005; see the StatsOrder tests).
   void merge(const Histogram& other) {
     MB_CHECK_MSG(other.bucketWidth_ == bucketWidth_ &&

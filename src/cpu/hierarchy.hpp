@@ -134,7 +134,7 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
 
   /// Sharded mode: materialize a buffered CPU -> channel admission on its
   /// destination controller (the channel-side half of a postEnqueue
-  /// message). Runs on the channel's thread; reads only immutable wiring
+  /// message). Runs on the channel's queue; reads only immutable wiring
   /// (config, address map) and the channel's own controller, so it is safe
   /// off the CPU queue.
   void deliverEnqueue(int channel, std::uint64_t lineAddr, CoreId core,

@@ -75,8 +75,8 @@ class MB_CHANNEL_LOCAL TimingChecker {
 
   bool softFail = false;
   /// Optional structured sink: violations are reported here (and onCommand
-  /// returns false) instead of aborting. Not owned. Declared seam: the
-  /// engine is run-wide, so sharded checkers must buffer or lock reports.
+  /// returns false) instead of aborting. Not owned. Declared seam: one
+  /// diagnostics engine is shared by every channel's checker in a run.
   MB_CHANNEL_IFACE(DiagnosticEngine)
   analysis::DiagnosticEngine* diagnostics = nullptr;
 

@@ -49,7 +49,7 @@ Server::~Server() {
     stop_ = true;
   }
   workCv_.notify_all();
-  for (auto& w : workers_)
+  for (auto& w : jobThreads_)
     if (w.joinable()) w.join();
   if (journal_ != nullptr) std::fclose(journal_);
   if (listenFd_ >= 0) ::close(listenFd_);
@@ -442,9 +442,6 @@ void Server::executeJob(const std::shared_ptr<Job>& job) {
   for (const std::size_t idx : missIdx) {
     sim::SweepPoint p = plan.points[idx];
     p.seedIndex = static_cast<std::int64_t>(idx);
-    // Applied after the cache key is computed: shards cannot change results,
-    // so cached entries stay valid across every --shards setting.
-    p.opts.shards = opts_.shards;
     if (p.opts.warmupRecords > 0) {
       const std::uint64_t wkey =
           sim::warmupKeyHash(p.cfg, p.workload, p.opts.warmupRecords);
@@ -567,16 +564,14 @@ int Server::run() {
   }
 
   const int inflight = opts_.inflight > 0 ? opts_.inflight : 1;
-  if (opts_.shards < 1) opts_.shards = 1;
   if (opts_.jobsPerSweep <= 0) {
-    // Each concurrently running point may spin up `shards` channel workers;
-    // budget the sweep slots so inflight * jobsPerSweep * shards ~ cores.
-    const int budget = sim::resolveJobs(0) / (inflight * opts_.shards);
+    // Budget the sweep slots so inflight * jobsPerSweep ~ cores.
+    const int budget = sim::resolveJobs(0) / inflight;
     opts_.jobsPerSweep = budget > 0 ? budget : 1;
   }
-  workers_.reserve(static_cast<std::size_t>(inflight));
+  jobThreads_.reserve(static_cast<std::size_t>(inflight));
   for (int i = 0; i < inflight; ++i)
-    workers_.emplace_back([this] { workerLoop(); });
+    jobThreads_.emplace_back([this] { workerLoop(); });
   workCv_.notify_all();  // resumed journal jobs may already be queued
 
   bool stdinEof = false;
@@ -641,9 +636,9 @@ int Server::run() {
     stop_ = true;
   }
   workCv_.notify_all();
-  for (auto& w : workers_)
+  for (auto& w : jobThreads_)
     if (w.joinable()) w.join();
-  workers_.clear();
+  jobThreads_.clear();
   if (listenFd_ >= 0) {
     ::close(listenFd_);
     listenFd_ = -1;

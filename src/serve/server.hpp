@@ -63,15 +63,9 @@ struct ServerOptions {
   std::string journalPath;
   /// Concurrent jobs (worker threads).
   int inflight = 2;
-  /// SweepRunner workers per job; <= 0 derives
-  /// resolveJobs(0) / (inflight * shards) (at least 1) so the slots share
-  /// the machine instead of oversubscribing.
+  /// SweepRunner workers per job; <= 0 derives resolveJobs(0) / inflight
+  /// (at least 1) so the slots share the machine instead of oversubscribing.
   int jobsPerSweep = 0;
-  /// Channel-shard worker threads inside each simulation (RunOptions::
-  /// shards). Results are byte-identical at any value, so the result cache
-  /// deliberately ignores this knob; it only multiplies the thread budget a
-  /// job consumes (hence the jobsPerSweep derivation above).
-  int shards = 1;
   /// Queued-job cap per client (admission back-pressure, MB-SRV-010).
   std::size_t maxQueuedPerClient = 64;
   /// Warmup-snapshot LRU byte budget.
@@ -158,7 +152,7 @@ class Server {
   std::mutex journalMu_;
   std::FILE* journal_ = nullptr;
 
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> jobThreads_;
 };
 
 }  // namespace mb::serve

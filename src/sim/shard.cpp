@@ -1,5 +1,6 @@
 #include "sim/shard.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "ckpt/restore.hpp"
@@ -70,12 +71,7 @@ ShardedEngine::ShardedEngine(EventQueue& cpuQueue,
                static_cast<long long>(opts_.lookahead));
   MB_CHECK(!chQs_.empty());
   toChannel_.resize(chQs_.size());
-  toCpu_.resize(chQs_.size());
-  minToCpuDue_.resize(chQs_.size(), kTickNever);
-  startWorkers();
 }
-
-ShardedEngine::~ShardedEngine() { stopWorkers(); }
 
 void ShardedEngine::setCommandMerge(std::vector<BufferedCommandLog*> buffers,
                                     mc::CommandLog* sink) {
@@ -93,14 +89,12 @@ void ShardedEngine::postCompletion(ChannelId fromChannel, Tick due,
   // A completion due before the current window's end would mean the channel
   // can reach the CPU faster than the configured lookahead — the conservative
   // window would have executed CPU events it shouldn't have.
-  MB_CHECK_MSG(due >= windowEnd_.load(std::memory_order_relaxed),
+  MB_CHECK_MSG(due >= windowEnd_,
                "completion due=%lldps inside the lookahead horizon (window end "
                "%lldps) — lookahead exceeds the channel->CPU latency",
-               static_cast<long long>(due),
-               static_cast<long long>(windowEnd_.load(std::memory_order_relaxed)));
-  const std::size_t ch = static_cast<std::size_t>(fromChannel);
-  if (due < minToCpuDue_[ch]) minToCpuDue_[ch] = due;
-  toCpu_[ch].push_back(CpuMsg{due, st, std::move(cb)});
+               static_cast<long long>(due), static_cast<long long>(windowEnd_));
+  if (due < minToCpuDue_) minToCpuDue_ = due;
+  toCpu_.push_back(CpuMsg{due, st, std::move(cb)});
 }
 
 void ShardedEngine::postEnqueue(ChannelId toChannel, Tick due,
@@ -119,34 +113,30 @@ Tick ShardedEngine::minNextTime() const {
     if (n < t) t = n;
   }
   if (minToChannelDue_ < t) t = minToChannelDue_;
-  for (const Tick d : minToCpuDue_)
-    if (d < t) t = d;
+  if (minToCpuDue_ < t) t = minToCpuDue_;
   return t;
 }
 
 void ShardedEngine::deliverToCpu(Tick t1) {
   cpuArena_.clear();
-  for (std::size_t ch = 0; ch < toCpu_.size(); ++ch) {
-    if (minToCpuDue_[ch] >= t1) continue;  // nothing deliverable this window
-    auto& buf = toCpu_[ch];
-    Tick keptMin = kTickNever;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      if (buf[i].due < t1) {
-        const std::uint32_t idx = static_cast<std::uint32_t>(cpuArena_.size());
-        const Tick due = buf[i].due;
-        cpuArena_.push_back(std::move(buf[i].cb));
-        cpuQ_.scheduleStamped(due, buf[i].stamp,
-                              [this, idx, due] { cpuArena_[idx](due); });
-      } else {
-        if (buf[i].due < keptMin) keptMin = buf[i].due;
-        if (kept != i) buf[kept] = std::move(buf[i]);
-        ++kept;
-      }
+  if (minToCpuDue_ >= t1) return;  // nothing deliverable this window
+  Tick keptMin = kTickNever;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < toCpu_.size(); ++i) {
+    CpuMsg& m = toCpu_[i];
+    if (m.due < t1) {
+      const std::uint32_t idx = static_cast<std::uint32_t>(cpuArena_.size());
+      const Tick due = m.due;
+      cpuArena_.push_back(std::move(m.cb));
+      cpuQ_.scheduleStamped(due, m.stamp, [this, idx, due] { cpuArena_[idx](due); });
+    } else {
+      if (m.due < keptMin) keptMin = m.due;
+      if (kept != i) toCpu_[kept] = std::move(m);
+      ++kept;
     }
-    buf.resize(kept);
-    minToCpuDue_[ch] = keptMin;
   }
+  toCpu_.resize(kept);
+  minToCpuDue_ = keptMin;
 }
 
 void ShardedEngine::deliverToChannels(Tick t1) {
@@ -179,157 +169,19 @@ void ShardedEngine::deliverToChannels(Tick t1) {
   minToChannelDue_ = keptMin;
 }
 
-void ShardedEngine::runChannelWindow(std::size_t ch, std::uint64_t* events) {
-  EventQueue& q = *chQs_[ch];
-  const Tick t1 = phaseT1_;
+void ShardedEngine::runChannelWindow(EventQueue& q, Tick t1,
+                                     const std::optional<StopKey>& stop) {
   for (;;) {
     const Tick next = q.nextEventTime();
     if (next >= t1) break;  // kTickNever when empty
-    if (phaseHasStop_ &&
-        !EventQueue::keyBefore(next, *q.peekStamp(), stopWhen_, stopStamp_))
+    if (stop &&
+        !EventQueue::keyBefore(next, *q.peekStamp(), stop->when, stop->stamp))
       break;
     q.step();
-    ++*events;
-    MB_CHECK_MSG(eventsBase_ + *events < opts_.maxEvents,
+    ++events_;
+    MB_CHECK_MSG(events_ < opts_.maxEvents,
                  "event cap hit at t=%lldps — runaway configuration?",
                  static_cast<long long>(q.now()));
-  }
-}
-
-void ShardedEngine::runChannelPhase(int worker) {
-  const int stride = static_cast<int>(threads_.size());
-  for (std::size_t ch = static_cast<std::size_t>(worker); ch < chQs_.size();
-       ch += static_cast<std::size_t>(stride))
-    runChannelWindow(ch, &workerEvents_[static_cast<std::size_t>(worker)]);
-}
-
-void ShardedEngine::workerMain(int worker) {
-  // Failures inside a worker must not abort from a detached stack frame with
-  // the pool barrier still armed: trap them, ferry the exception to the
-  // calling thread, and re-dispatch there (restoring abort semantics when no
-  // trap is active on that thread).
-  ScopedCheckTrap trap;
-  std::uint64_t seen = 0;
-  for (;;) {
-    // Spin briefly, then park. The seq_cst ordering of parked_ against the
-    // publisher's phaseGen_ bump + parked_ check closes the missed-wakeup
-    // window: if the publisher reads parked_ == 0, this thread's predicate
-    // check (after its parked_ increment) must observe the new generation.
-    std::uint64_t gen = phaseGen_.load(std::memory_order_acquire);
-    for (int spins = 0; gen == seen;
-         gen = phaseGen_.load(std::memory_order_acquire)) {
-      if (++spins <= spinBeforePark_) continue;
-      parked_.fetch_add(1);
-      {
-        std::unique_lock<std::mutex> l(phaseMu_);
-        phaseCv_.wait(l, [&] { return phaseGen_.load() != seen; });
-      }
-      parked_.fetch_sub(1);
-      gen = phaseGen_.load(std::memory_order_acquire);
-      break;
-    }
-    seen = gen;
-    if (shutdown_.load(std::memory_order_relaxed)) return;
-    try {
-      runChannelPhase(worker);
-    } catch (...) {
-      workerErr_[static_cast<std::size_t>(worker)] = std::current_exception();
-    }
-    phaseDone_.fetch_add(1);
-    if (mainParked_.load()) {
-      std::lock_guard<std::mutex> l(doneMu_);
-      doneCv_.notify_one();
-    }
-  }
-}
-
-void ShardedEngine::startWorkers() {
-  const int n = opts_.workers;
-  if (n <= 1 || chQs_.size() <= 1) return;  // fully inline
-  const int workers = n > static_cast<int>(chQs_.size())
-                          ? static_cast<int>(chQs_.size())
-                          : n;
-  workerErr_.resize(static_cast<std::size_t>(workers));
-  workerEvents_.resize(static_cast<std::size_t>(workers), 0);
-  // Spinning is only worth it when the pool + main can actually run
-  // simultaneously; on an oversubscribed machine a spinning waiter steals
-  // the quantum from whoever holds the work it is waiting for, so park
-  // immediately there.
-  const unsigned hw = std::thread::hardware_concurrency();
-  spinBeforePark_ = hw > static_cast<unsigned>(workers) ? 4096 : 0;
-  threads_.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w)
-    threads_.emplace_back([this, w] { workerMain(w); });
-}
-
-void ShardedEngine::publishPhase() {
-  phaseGen_.fetch_add(1);
-  if (parked_.load() > 0) {
-    std::lock_guard<std::mutex> l(phaseMu_);
-    phaseCv_.notify_all();
-  }
-}
-
-void ShardedEngine::stopWorkers() {
-  if (threads_.empty()) return;
-  shutdown_.store(true, std::memory_order_relaxed);
-  publishPhase();
-  for (auto& t : threads_) t.join();
-  threads_.clear();
-}
-
-void ShardedEngine::runPhaseB(Tick t1) {
-  phaseT1_ = t1;
-  // Count the channels with runnable work this window; one busy channel (the
-  // common case on single-channel configs and in bursty phases) is cheaper
-  // inline than through the barrier — and per-channel event order is
-  // identical either way, so the choice cannot show up in any output.
-  int busy = 0;
-  std::size_t lastBusy = 0;
-  for (std::size_t ch = 0; ch < chQs_.size(); ++ch) {
-    if (chQs_[ch]->nextEventTime() < t1) {
-      ++busy;
-      lastBusy = ch;
-    }
-  }
-  if (busy == 0) return;
-  if (threads_.empty() || busy == 1) {
-    eventsBase_ = 0;  // inline windows count into events_ directly
-    if (busy == 1) {
-      runChannelWindow(lastBusy, &events_);
-    } else {
-      for (std::size_t ch = 0; ch < chQs_.size(); ++ch)
-        runChannelWindow(ch, &events_);
-    }
-    return;
-  }
-  eventsBase_ = events_;
-  for (auto& c : workerEvents_) c = 0;
-  const int n = static_cast<int>(threads_.size());
-  phaseDone_.store(0, std::memory_order_relaxed);
-  publishPhase();
-  for (int spins = 0; phaseDone_.load(std::memory_order_acquire) != n;) {
-    if (++spins <= spinBeforePark_) continue;
-    mainParked_.store(true);
-    {
-      std::unique_lock<std::mutex> l(doneMu_);
-      doneCv_.wait(l, [&] { return phaseDone_.load() == n; });
-    }
-    mainParked_.store(false);
-    break;
-  }
-  for (const std::uint64_t c : workerEvents_) events_ += c;
-  for (auto& err : workerErr_) {
-    if (!err) continue;
-    const std::exception_ptr ep = err;
-    err = nullptr;
-    try {
-      std::rethrow_exception(ep);
-    } catch (const CheckFailure& cf) {
-      // Re-dispatch on the calling thread so a trapped caller (SweepRunner)
-      // records it and an untrapped one aborts with the original message.
-      mb::detail::raiseCheckFailure(cf.message);
-    }
   }
 }
 
@@ -382,10 +234,9 @@ void ShardedEngine::run(Tick checkpointAt,
     if (ckptPending && checkpointAt < t1) t1 = checkpointAt;
     deliverToCpu(t1);
 
-    // Phase A: the CPU hierarchy runs serially to completion first, so
-    // zero-latency CPU -> channel admissions still land inside this window.
-    phaseHasStop_ = false;
-    bool stopped = false;
+    // Phase A: the CPU hierarchy runs to completion first, so zero-latency
+    // CPU -> channel admissions still land inside this window.
+    std::optional<StopKey> stop;
     while (cpuQ_.nextEventTime() < t1) {
       const Tick when = cpuQ_.nextEventTime();
       const EventStamp st = *cpuQ_.peekStamp();
@@ -397,21 +248,18 @@ void ShardedEngine::run(Tick checkpointAt,
       if (stopFn()) {
         // Truncate the window at this event's key: channel events ordered
         // after it would not have fired under a single queue either.
-        stopped = true;
-        phaseHasStop_ = true;
-        stopWhen_ = when;
-        stopStamp_ = st;
+        stop = StopKey{when, st};
         break;
       }
     }
 
-    // Phase B: channels, in parallel. windowEnd_ arms the lookahead guard in
-    // postCompletion before any channel event can run.
-    windowEnd_.store(t1, std::memory_order_relaxed);
+    // Phase B: every channel, in index order. windowEnd_ arms the lookahead
+    // guard in postCompletion before any channel event can run.
+    windowEnd_ = t1;
     deliverToChannels(t1);
-    runPhaseB(t1);
+    for (EventQueue* q : chQs_) runChannelWindow(*q, t1, stop);
     drainCommands();
-    if (stopped) break;
+    if (stop) break;
   }
 }
 

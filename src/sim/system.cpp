@@ -70,9 +70,7 @@ namespace {
 
 struct BuiltSystem {
   EventQueue eq;  // the CPU shard: hierarchy + cores (shard id = nChannels)
-  /// One queue per memory channel (shard id = channel index). Every queue
-  /// exists at every --shards value; the worker count only decides how the
-  /// channel phase is executed, never how events are ordered.
+  /// One queue per memory channel (shard id = channel index).
   std::vector<std::unique_ptr<EventQueue>> chQs;
   dram::Geometry geom;
   std::vector<std::unique_ptr<mc::MemoryController>> mcs;
@@ -267,8 +265,7 @@ std::string mcSectionName(std::size_t i) { return "MC" + std::to_string(i); }
 
 /// Capture the complete state of a running system as a full-run snapshot.
 /// Only taken at window boundaries (all queues quiescent between windows);
-/// `snap.now` is the latest queue clock — the tick of the last fired event,
-/// which is shard-invariant.
+/// `snap.now` is the latest queue clock — the tick of the last fired event.
 ckpt::Snapshot makeFullSnapshot(const BuiltSystem& sys,
                                 const ShardedEngine& engine,
                                 const SystemConfig& cfg,
@@ -518,19 +515,15 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
 
   auto sys = buildSystem(cfg, workload);
   const int numCores = sys->numCores;
-  const int channels = static_cast<int>(sys->mcs.size());
 
-  // ---- Sharded engine -------------------------------------------------------
-  // Used at every --shards value (1 included): the decomposition into one
-  // queue per channel plus the CPU queue, the conservative windows, and the
-  // mailbox merge order are identical at any worker count, which is what
-  // makes the results byte-identical by construction (DESIGN.md §14).
+  // ---- Windowed engine ----------------------------------------------------
+  // One queue per channel plus the CPU queue, advanced in conservative
+  // windows with a stamp-ordered mailbox between them (DESIGN.md §14).
   ShardEngineOptions eopts;
   // Lookahead: the cheapest channel -> CPU interaction is a forwarded read,
   // one command transfer (tCMD). CPU -> channel can be zero-latency, which
   // is safe because the CPU phase precedes the channel phase in a window.
   eopts.lookahead = effectiveTiming(cfg).tCMD;
-  eopts.workers = std::clamp(opts.shards, 1, channels);
   std::vector<EventQueue*> chQs;
   for (auto& q : sys->chQs) chQs.push_back(q.get());
   ShardedEngine engine(sys->eq, std::move(chQs), eopts);
@@ -612,12 +605,11 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
   std::int64_t meterActs = 0, meterCas = 0, meterRefs = 0;
   double queueOccSum = 0.0, latSum = 0.0, busSum = 0.0;
   std::int64_t latCount = 0;
-  // Shard-order audit (MB-DET-005): the double sums below are reduced HERE,
-  // on the main thread, after the engine has fully drained, and always by
-  // walking sys->mcs in channel-index order — never in the order worker
-  // threads happened to finish their windows. FP addition is
-  // non-associative, so reducing in completion order would make the report
-  // depend on scheduling; the StatsOrder regression tests pin this contract.
+  // Reduction-order audit (MB-DET-005): the double sums below are reduced
+  // after the engine has fully drained, always by walking sys->mcs in
+  // channel-index order. FP addition is non-associative, so any other order
+  // (say, the order channels went idle) would change the report's low bits;
+  // the StatsOrder regression tests pin this contract.
   for (auto& mcPtr : sys->mcs) {
     mcPtr->finalize(r.elapsed);
     const auto s = mcPtr->stats();

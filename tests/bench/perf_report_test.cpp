@@ -104,53 +104,6 @@ TEST(PerfReportTest, ServeBlockCarriesAllFieldsAndDerivedRatios) {
   EXPECT_NE(json.find("\"totals\":"), std::string::npos);
 }
 
-TEST(PerfReportTest, ShardBlockCarriesAllFieldsAndDerivedRatios) {
-  ShardPerf sh;
-  sh.shards = 4;
-  sh.channels = 16;
-  sh.hardwareThreads = 8;
-  sh.serialSeconds = 2.0;
-  sh.shardedSeconds = 0.5;
-  sh.events = 1000000;
-  const std::string json = perfJson({samplePerf("p")}, {"429.mcf", 10000, 3},
-                                    81920, nullptr, &sh);
-  EXPECT_TRUE(structurallyValidJson(json)) << json;
-  for (const char* key :
-       {"\"shard\":{", "\"shards\":4", "\"channels\":16",
-        "\"hardwareThreads\":8", "\"serialSeconds\":2", "\"shardedSeconds\":0.5",
-        "\"speedup\":4", "\"events\":1000000", "\"serialEventsPerSec\":500000",
-        "\"shardedEventsPerSec\":2e+06"}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key << " missing:\n" << json;
-  }
-  EXPECT_NE(json.find("\"totals\":"), std::string::npos);
-}
-
-TEST(PerfReportTest, ShardBlockZeroDenominatorsStayFinite) {
-  const ShardPerf zero;  // unmeasured: every derived rate must render as 0
-  const std::string json = perfJson({samplePerf("p")}, {"429.mcf", 10000, 3},
-                                    0, nullptr, &zero);
-  EXPECT_TRUE(structurallyValidJson(json)) << json;
-  EXPECT_NE(json.find("\"speedup\":0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"serialEventsPerSec\":0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shardedEventsPerSec\":0"), std::string::npos) << json;
-}
-
-TEST(PerfReportTest, ServeAndShardBlocksCompose) {
-  ServePerf s;
-  s.coldSeconds = 0.5;
-  s.cachedSeconds = 0.001;
-  ShardPerf sh;
-  sh.shards = 2;
-  sh.serialSeconds = 1.0;
-  sh.shardedSeconds = 1.0;
-  const std::string json =
-      perfJson({samplePerf("p")}, {"429.mcf", 10000, 3}, 81920, &s, &sh);
-  EXPECT_TRUE(structurallyValidJson(json)) << json;
-  EXPECT_NE(json.find("\"serve\":{"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shard\":{"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"totals\":"), std::string::npos) << json;
-}
-
 TEST(PerfReportTest, ShardBlockAbsentByDefault) {
   const std::string json =
       perfJson({samplePerf("p")}, {"429.mcf", 10000, 3}, 81920);

@@ -1,7 +1,7 @@
 // mbdetcheck — determinism & channel-ownership static analysis.
 //
 // Scans the simulator's own sources for the nondeterminism classes that
-// would silently break sharded (per-channel) simulation: hash-order
+// would silently break per-channel windowed simulation: hash-order
 // iteration, pointer-valued keys, wall clocks and libc randomness, hidden
 // mutable statics, FP accumulation in hash order, and undeclared
 // channel-local -> cross-channel references (registry: DESIGN.md

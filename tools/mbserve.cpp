@@ -2,8 +2,7 @@
 //
 // Server modes (pick at least one transport):
 //   mbserve --socket=PATH [--cache-dir=DIR] [--journal=PATH]
-//           [--inflight=N] [--sweep-jobs=N] [--shards=N]
-//           [--snapshot-budget-mb=N]
+//           [--inflight=N] [--sweep-jobs=N] [--snapshot-budget-mb=N]
 //   mbserve --stdio ...            serve one session over stdin/stdout
 //
 // Client mode (one-shot):
@@ -22,11 +21,7 @@
 //   --journal=PATH          accept journal; existing file auto-resumes
 //   --inflight=N            concurrent jobs (default 2)
 //   --sweep-jobs=N          SweepRunner workers per job (default: share
-//                           MB_JOBS / hardware threads across the slots
-//                           and the per-simulation shard workers)
-//   --shards=N              channel-shard workers inside each simulation
-//                           (default 1). Results are byte-identical at any
-//                           value, so the result cache ignores this knob
+//                           MB_JOBS / hardware threads across the slots)
 //   --snapshot-budget-mb=N  warmup-snapshot LRU budget (default 256)
 //   --version               print tool + format versions
 //
@@ -181,8 +176,6 @@ int main(int argc, char** argv) {
       opts.inflight = static_cast<int>(parsePositive(value, "--inflight"));
     } else if (matchFlag(arg, "sweep-jobs", &value)) {
       opts.jobsPerSweep = static_cast<int>(parsePositive(value, "--sweep-jobs"));
-    } else if (matchFlag(arg, "shards", &value)) {
-      opts.shards = static_cast<int>(parsePositive(value, "--shards"));
     } else if (matchFlag(arg, "snapshot-budget-mb", &value)) {
       opts.snapshotBudget = static_cast<std::size_t>(
                                 parsePositive(value, "--snapshot-budget-mb"))

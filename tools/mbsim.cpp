@@ -33,11 +33,6 @@
 //                     through the offline auditor and fail (exit 1) on any
 //                     MB-AUD violation; implies --record-cmds (default
 //                     "mbsim-cmds.mbc" when not given)
-//   --shards=N        worker threads inside ONE simulation: the channel-
-//                     sharded engine (DESIGN.md §14) distributes memory
-//                     channels over N threads. Reports, command traces and
-//                     snapshots are byte-identical for every N; the knob
-//                     trades threads for wall-clock only
 //   --version         print tool + MBTRACE1/MBCMDT1/MBCKPT1 format versions
 //
 // Checkpoint / restore (MBCKPT1 snapshots, see src/ckpt/snapshot.hpp):
@@ -272,9 +267,6 @@ int main(int argc, char** argv) {
     } else if (matchFlag(arg, "jobs", &value)) {
       jobs = std::atoi(value.c_str());
       if (jobs < 1) usage("--jobs expects a positive integer");
-    } else if (matchFlag(arg, "shards", &value)) {
-      runOpts.shards = std::atoi(value.c_str());
-      if (runOpts.shards < 1) usage("--shards expects a positive integer");
     } else if (matchFlag(arg, "workload", &value)) {
       workload = value;
     } else if (matchFlag(arg, "preset", &value)) {
