@@ -9,12 +9,13 @@
 #include "mc/command_log.hpp"
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
+#include "temp_path.hpp"
 
 namespace mb::analysis {
 namespace {
 
 std::string tmpTracePath(const std::string& tag) {
-  return std::string(::testing::TempDir()) + "mbaudit_test_" + tag + ".mbc";
+  return testTempPath("mbaudit_test_" + tag + ".mbc");
 }
 
 // Record a short run of `cfg` and load the resulting command trace.

@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "ckpt/serialize.hpp"
+#include "temp_path.hpp"
 
 namespace mb::ckpt {
 namespace {
@@ -302,7 +303,7 @@ TEST(Snapshot, ReadFileReportsMissing) {
 
 TEST(Snapshot, WriteReadFileRoundTrip) {
   const Snapshot snap = sampleSnapshot();
-  const std::string path = ::testing::TempDir() + "mb_snapshot_rt.mbk";
+  const std::string path = testTempPath("mb_snapshot_rt.mbk");
   analysis::DiagnosticEngine diags;
   ASSERT_TRUE(writeSnapshotFile(snap, path, diags)) << diags.renderText();
   const auto back = readSnapshotFile(path, diags);

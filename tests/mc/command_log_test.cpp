@@ -9,12 +9,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "temp_path.hpp"
 
 namespace mb::mc {
 namespace {
 
 std::string tmpPath(const char* tag) {
-  return std::string(::testing::TempDir()) + "mbcmd_test_" + tag + ".mbc";
+  return testTempPath(std::string("mbcmd_test_") + tag + ".mbc");
 }
 
 CmdTraceConfig testConfig() {

@@ -8,14 +8,16 @@
 #include <fstream>
 #include <string>
 
+#include "temp_path.hpp"
+
 namespace mb::serve {
 namespace {
 
 std::string tempDir(const char* name) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string dir = ::testing::TempDir() + "mb_result_cache_" + info->name() + "_" +
-                    name;
+  std::string dir = testTempPath(std::string("mb_result_cache_") + info->name() + "_" +
+                                 name);
   std::remove(dir.c_str());
   return dir;
 }

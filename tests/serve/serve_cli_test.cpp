@@ -4,13 +4,14 @@
 // lifetimes sharing one cache dir, journal crash-resume bookkeeping, and
 // the malformed-spec rejections surfacing as MB-SRV error events.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "temp_path.hpp"
 
 namespace {
 
@@ -24,9 +25,8 @@ std::string runStdioSession(const std::vector<std::string>& lines,
                             const std::string& cacheDir,
                             const std::string& journal) {
   static int session = 0;
-  const std::string input = ::testing::TempDir() + "mbserve_cli_in." +
-                            std::to_string(getpid()) + "." +
-                            std::to_string(++session) + ".jsonl";
+  const std::string input =
+      mb::testTempPath("mbserve_cli_in." + std::to_string(++session) + ".jsonl");
   {
     std::ofstream out(input, std::ios::trunc);
     for (const auto& line : lines) out << line << "\n";
@@ -61,7 +61,7 @@ std::vector<std::string> linesWith(const std::string& text,
 }
 
 std::string freshDir(const char* tag) {
-  const std::string dir = ::testing::TempDir() + "mbserve_cli_" + tag;
+  const std::string dir = mb::testTempPath(std::string("mbserve_cli_") + tag);
   std::system(("rm -rf " + shellQuote(dir)).c_str());
   return dir;
 }

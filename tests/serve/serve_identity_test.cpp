@@ -15,6 +15,7 @@
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
 #include "sim/sweep.hpp"
+#include "temp_path.hpp"
 
 namespace mb::serve {
 namespace {
@@ -22,7 +23,7 @@ namespace {
 constexpr std::int64_t kInstrs = 8000;
 
 TEST(ServeIdentity, CachedBytesEqualColdRunForEveryShippedPreset) {
-  const std::string dir = ::testing::TempDir() + "mb_serve_identity_cache";
+  const std::string dir = testTempPath("mb_serve_identity_cache");
   ResultCache cache(dir);
   ASSERT_TRUE(cache.ok());
   cache.flush();  // stale entries from a previous test run

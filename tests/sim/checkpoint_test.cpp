@@ -15,6 +15,7 @@
 #include "common/check.hpp"
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
+#include "temp_path.hpp"
 
 namespace mb::sim {
 namespace {
@@ -96,7 +97,7 @@ TEST(Checkpoint, RestoreEquivalentForEveryPreset) {
     const RunResult cold = runSimulation(cfg, workload);
     ASSERT_GT(cold.elapsed, 0);
 
-    const std::string path = ::testing::TempDir() + "mb_ckpt_" + preset.name + ".mbk";
+    const std::string path = testTempPath("mb_ckpt_" + preset.name + ".mbk");
     RunOptions save;
     save.checkpointAt = cold.elapsed / 2;
     save.checkpointPath = path;
@@ -116,7 +117,7 @@ TEST(Checkpoint, PastEndCheckpointRestoresFinalState) {
   const SystemConfig cfg = presetFast(shippedPresets().front());
   const RunResult cold = runSimulation(cfg, workload);
 
-  const std::string path = ::testing::TempDir() + "mb_ckpt_final.mbk";
+  const std::string path = testTempPath("mb_ckpt_final.mbk");
   RunOptions save;
   save.checkpointAt = cold.elapsed * 10;  // never reached mid-run
   save.checkpointPath = path;
@@ -160,7 +161,7 @@ std::string writeCheckpoint(const SystemConfig& cfg, const WorkloadSpec& workloa
 TEST(Checkpoint, RejectsConfigMismatch) {
   const auto workload = WorkloadSpec::spec("429.mcf");
   const SystemConfig cfg = presetFast(shippedPresets().front());
-  const std::string path = ::testing::TempDir() + "mb_ckpt_cfgmis.mbk";
+  const std::string path = testTempPath("mb_ckpt_cfgmis.mbk");
   writeCheckpoint(cfg, workload, path);
 
   SystemConfig other = cfg;
@@ -173,7 +174,7 @@ TEST(Checkpoint, RejectsConfigMismatch) {
 TEST(Checkpoint, RejectsWarmupSnapshotAsFullRun) {
   const auto workload = WorkloadSpec::spec("429.mcf");
   const SystemConfig cfg = presetFast(shippedPresets().front());
-  const std::string path = ::testing::TempDir() + "mb_ckpt_kind.mbk";
+  const std::string path = testTempPath("mb_ckpt_kind.mbk");
   const std::string buf = captureWarmupSnapshot(cfg, workload, 500);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -200,7 +201,7 @@ void tamperSnapshot(const std::string& path,
 TEST(Checkpoint, RejectsGeometryMismatch) {
   const auto workload = WorkloadSpec::spec("429.mcf");
   const SystemConfig cfg = presetFast(shippedPresets().front());
-  const std::string path = ::testing::TempDir() + "mb_ckpt_geom.mbk";
+  const std::string path = testTempPath("mb_ckpt_geom.mbk");
   writeCheckpoint(cfg, workload, path);
   tamperSnapshot(path, [](ckpt::Snapshot& s) { s.geometry.nW += 1; });
 
@@ -212,7 +213,7 @@ TEST(Checkpoint, RejectsGeometryMismatch) {
 TEST(Checkpoint, RejectsMissingSection) {
   const auto workload = WorkloadSpec::spec("429.mcf");
   const SystemConfig cfg = presetFast(shippedPresets().front());
-  const std::string path = ::testing::TempDir() + "mb_ckpt_missing.mbk";
+  const std::string path = testTempPath("mb_ckpt_missing.mbk");
   writeCheckpoint(cfg, workload, path);
   tamperSnapshot(path, [](ckpt::Snapshot& s) {
     for (std::size_t i = 0; i < s.sections.size(); ++i) {
@@ -232,7 +233,7 @@ TEST(Checkpoint, RejectsMissingSection) {
 TEST(Checkpoint, RejectsMalformedSectionPayload) {
   const auto workload = WorkloadSpec::spec("429.mcf");
   const SystemConfig cfg = presetFast(shippedPresets().front());
-  const std::string path = ::testing::TempDir() + "mb_ckpt_payload.mbk";
+  const std::string path = testTempPath("mb_ckpt_payload.mbk");
   writeCheckpoint(cfg, workload, path);
   tamperSnapshot(path, [](ckpt::Snapshot& s) {
     for (auto& sec : s.sections) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/experiment.hpp"
+#include "temp_path.hpp"
 
 namespace mb::sim {
 namespace {
@@ -58,7 +59,7 @@ JournalHeader sampleHeader(std::size_t points) {
 }
 
 TEST(Journal, WriteReadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "mb_journal_rt.jsonl";
+  const std::string path = testTempPath("mb_journal_rt.jsonl");
   {
     JournalWriter w(path, sampleHeader(3));
     ASSERT_TRUE(w.ok());
@@ -96,7 +97,7 @@ TEST(Journal, WriteReadRoundTrip) {
 }
 
 TEST(Journal, TornFinalLineIsSkipped) {
-  const std::string path = ::testing::TempDir() + "mb_journal_torn.jsonl";
+  const std::string path = testTempPath("mb_journal_torn.jsonl");
   {
     JournalWriter w(path, sampleHeader(2));
     ASSERT_TRUE(w.ok());
@@ -121,7 +122,7 @@ TEST(Journal, TornFinalLineIsSkipped) {
 }
 
 TEST(Journal, RejectsForeignFile) {
-  const std::string path = ::testing::TempDir() + "mb_journal_bad.jsonl";
+  const std::string path = testTempPath("mb_journal_bad.jsonl");
   {
     std::ofstream f(path, std::ios::binary);
     f << "not a journal at all\n";
@@ -171,7 +172,7 @@ TEST(Journal, ResumedSweepBitIdenticalToFresh) {
   opts.reseedPoints = true;
   opts.progress = false;
 
-  const std::string fresh = ::testing::TempDir() + "mb_journal_fresh.jsonl";
+  const std::string fresh = testTempPath("mb_journal_fresh.jsonl");
   std::string err;
   const auto full = runSweepJournaled("429.mcf", points, opts, fresh, false, &err);
   ASSERT_TRUE(full.has_value()) << err;
@@ -187,7 +188,7 @@ TEST(Journal, ResumedSweepBitIdenticalToFresh) {
     while (std::getline(f, line)) lines.push_back(line);
   }
   ASSERT_EQ(lines.size(), points.size() + 1);
-  const std::string interrupted = ::testing::TempDir() + "mb_journal_part.jsonl";
+  const std::string interrupted = testTempPath("mb_journal_part.jsonl");
   {
     std::ofstream f(interrupted, std::ios::binary);
     f << lines[0] << '\n' << lines[1] << '\n';
@@ -215,7 +216,7 @@ TEST(Journal, ResumeRejectsDifferentSweep) {
   opts.jobs = 2;
   opts.progress = false;
 
-  const std::string path = ::testing::TempDir() + "mb_journal_ident.jsonl";
+  const std::string path = testTempPath("mb_journal_ident.jsonl");
   std::string err;
   ASSERT_TRUE(
       runSweepJournaled("429.mcf", points, opts, path, false, &err).has_value())

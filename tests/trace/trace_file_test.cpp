@@ -8,12 +8,13 @@
 #include <string>
 
 #include "common/check.hpp"
+#include "temp_path.hpp"
 
 namespace mb::trace {
 namespace {
 
 std::string tmpPath(const char* tag) {
-  return std::string(::testing::TempDir()) + "mbtrace_test_" + tag + ".mbt";
+  return testTempPath(std::string("mbtrace_test_") + tag + ".mbt");
 }
 
 Record makeRecord(std::uint32_t gap, std::uint64_t addr, bool write, bool dep) {
