@@ -169,7 +169,7 @@ TEST(StatRegistry, ResetClearsValues) {
 
 // ---------------------------------------------------------------------------
 // Shard-order regression tests (MB-DET-005): per-channel stats reduced into
-// the report must not depend on the order worker threads finish. The
+// the report must not depend on the order channels finish or are visited. The
 // production reduction (runSimulation's collect loop, Histogram::merge
 // callers) walks channels in index order; these tests pin the pieces that
 // make that sufficient — and demonstrate why completion order would not be.
