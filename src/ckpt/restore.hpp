@@ -38,26 +38,16 @@ class EventRestorer {
   std::vector<std::function<void()>> entries_;
 };
 
-/// Stamp serialization shared by every component that reifies pending
-/// events (fixed 40-byte little-endian layout; part of MBCKPT1 v2).
-inline void saveStamp(Writer& w, const EventStamp& st) {
-  w.i64(st.schedTick);
-  w.i32(st.srcShard);
-  w.u64(st.counter);
-  w.i64(st.parentSchedTick);
-  w.i32(st.parentShard);
-  w.u64(st.parentCounter);
-}
-
-inline EventStamp loadStamp(Reader& r) {
-  EventStamp st;
-  st.schedTick = r.i64();
-  st.srcShard = r.i32();
-  st.counter = r.u64();
-  st.parentSchedTick = r.i64();
-  st.parentShard = r.i32();
-  st.parentCounter = r.u64();
-  return st;
+/// Stamp walk shared by every component that reifies pending events
+/// (fixed 40-byte little-endian layout; part of MBCKPT1 v2).
+template <class Ar>
+void ioStamp(Ar& ar, EventStamp& st) {
+  ar.i64(st.schedTick);
+  ar.i32(st.srcShard);
+  ar.u64(st.counter);
+  ar.i64(st.parentSchedTick);
+  ar.i32(st.parentShard);
+  ar.u64(st.parentCounter);
 }
 
 }  // namespace mb::ckpt

@@ -1,22 +1,45 @@
 // Binary serialization primitives for the MBCKPT1 checkpoint format.
 //
-// The Serializable protocol: every stateful component implements
+// The Serializable protocol: every stateful component describes its
+// snapshot state once, as a walk over its mutable members,
 //
-//   void save(ckpt::Writer& w) const;   // append state, little-endian
-//   void load(ckpt::Reader& r);         // restore it; never trust the bytes
+//   template <class Ar> void io(Ar& ar);
+//   MB_SNAP_ENTRY_POINTS(, )   // generates save(Writer&) const / load(Reader&)
 //
-// (virtual on polymorphic bases — TraceSource, Scheduler, PagePolicy — so a
-// snapshot section can be driven through the interface the simulator holds).
-// Structural parameters that come from the constructor (geometry, sizes,
-// timing) are NOT serialized: a snapshot is only loadable into a system
-// built from the identical SystemConfig, which the container enforces with
-// a config hash (snapshot.hpp). save/load therefore cover exactly the
-// mutable state, and a malformed payload must surface as `!r.ok()` rather
-// than undefined behaviour: Reader is bounds-checked, returns zeros after
-// the first failure, and load() implementations call r.fail() on any
-// structural mismatch (wrong counts, out-of-range enums) instead of
-// asserting, so the snapshot reader can reject a corrupt section with a
-// stable diagnostic while the process keeps running.
+// and the same walk writes the snapshot when `Ar` is SaveArchive and reads
+// it back when `Ar` is LoadArchive. Both archives have the same member
+// names and take each field by reference (`ar.u64(x)`), so the two
+// directions cannot drift apart: a field is walked in one place, in one
+// order, with one wire type. Work that only makes sense on one side —
+// rebuilding callbacks, derived caches, clearing containers — goes under
+// `if constexpr (Ar::kLoading)`; wire ops never do (mbsnapcheck,
+// MB-SNP-001).
+//
+// save()/load() stay the public entry points, virtual on TraceSource,
+// Scheduler and PagePolicy (MB_SNAP_ENTRY_POINTS(virtual, ) on a base that
+// supplies a default walk, MB_SNAP_ENTRY_POINTS(, override) on subclasses), so
+// a snapshot section can be driven through the interface the simulator
+// holds; inside a walk, `ar.sub(obj)` walks a sub-object through those
+// entry points. A walk defined out of line is instantiated for both
+// archives with MB_SNAP_IO_INSTANTIATE(Class). Structural parameters that
+// come from the constructor (geometry, sizes, timing) are NOT serialized: a
+// snapshot is only loadable into a system built from the identical
+// SystemConfig, which the container enforces with a config hash
+// (snapshot.hpp).
+//
+// A malformed payload must surface as `!r.ok()` rather than undefined
+// behaviour. Reader is bounds-checked and returns zeros after the first
+// failure, and the load-side checks live in LoadArchive helpers whose
+// names carry the wire type:
+//
+//   ar.u64Count(n, minElemBytes)  guarded element count (no giant alloc)
+//   ar.u64Expect(size)            size the constructor built; mismatch fails
+//   ar.u8Enum(e, Max)             enum in [0, Max]
+//   ar.i32Index(i, limit[, first]) index in [first, limit)
+//   ar.mapSorted(m, minEntryBytes, walkValue)   integral-keyed map, key order
+//
+// so the snapshot reader can reject a corrupt section with a stable
+// diagnostic while the process keeps running.
 //
 // Everything here is header-only and intentionally free of link-time
 // dependencies so that low-level libraries (common, dram, mc, cpu, trace)
@@ -30,6 +53,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mb::ckpt {
@@ -171,21 +195,151 @@ class Reader {
   bool ok_ = true;
 };
 
-/// Serialize an (unordered_)map with integral keys sorted by key, so the
-/// snapshot bytes never depend on hash-table iteration order. `saveValue`
-/// receives each mapped value; the count is written first as u64 and each
-/// key as i64.
-template <typename Map, typename SaveValue>
-void saveMapSorted(Writer& w, const Map& m, SaveValue&& saveValue) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(m.size());
-  for (const auto& [k, v] : m) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (const auto& k : keys) {
-    w.i64(static_cast<std::int64_t>(k));
-    saveValue(m.at(k));
+template <class T>
+inline constexpr bool kWireInt = std::is_integral_v<T> || std::is_enum_v<T>;
+
+/// The saving side of an io() walk: every member takes the field by
+/// reference and writes it.
+class SaveArchive {
+ public:
+  static constexpr bool kLoading = false;
+  explicit SaveArchive(Writer& w) : w_(w) {}
+
+  template <class T> void u8(const T& v) { w_.u8(cast<std::uint8_t>(v)); }
+  template <class T> void b(const T& v) { w_.b(cast<bool>(v)); }
+  template <class T> void u32(const T& v) { w_.u32(cast<std::uint32_t>(v)); }
+  template <class T> void u64(const T& v) { w_.u64(cast<std::uint64_t>(v)); }
+  template <class T> void i32(const T& v) { w_.i32(cast<std::int32_t>(v)); }
+  template <class T> void i64(const T& v) { w_.i64(cast<std::int64_t>(v)); }
+  void f64(const double& v) { w_.f64(v); }
+
+  void u64Count(const std::uint64_t& n, std::size_t /*minElemBytes*/) { w_.u64(n); }
+  void u64Expect(std::uint64_t size) { w_.u64(size); }
+  template <class E> void u8Enum(const E& e, E /*max*/) { u8(e); }
+  template <class I>
+  void i32Index(const I& i, std::int64_t /*limit*/, std::int64_t /*first*/ = 0) {
+    i32(i);
   }
-}
+
+  /// Walk a sub-object through its save() entry point (virtual ones too).
+  template <class T> void sub(const T& obj) { obj.save(w_); }
+
+  /// An integral-keyed map in ascending key order, so the bytes never
+  /// depend on hash-table iteration order: a u64 entry count, then per
+  /// entry the key as i64 followed by walkValue(value).
+  template <class Map, class WalkValue>
+  void mapSorted(Map& m, std::size_t /*minEntryBytes*/, WalkValue&& walkValue) {
+    std::vector<typename Map::key_type> keys;
+    keys.reserve(m.size());
+    for (const auto& [k, v] : m) keys.push_back(k);
+    std::sort(keys.begin(), keys.end());
+    w_.u64(keys.size());
+    for (const auto& k : keys) {
+      w_.i64(static_cast<std::int64_t>(k));
+      walkValue(m.at(k));
+    }
+  }
+
+  /// Load-side checks hold trivially for the state being saved.
+  void fail() {}
+  bool ok() const { return true; }
+
+ private:
+  template <class To, class T>
+  static To cast(const T& v) {
+    static_assert(kWireInt<T>, "integer wire ops take integer or enum fields");
+    return static_cast<To>(v);
+  }
+  Writer& w_;
+};
+
+/// The loading side of an io() walk: same member names as SaveArchive,
+/// each reading into the field it is given.
+class LoadArchive {
+ public:
+  static constexpr bool kLoading = true;
+  explicit LoadArchive(Reader& r) : r_(r) {}
+
+  template <class T> void u8(T& v) { v = cast<T>(r_.u8()); }
+  template <class T> void b(T& v) { v = cast<T>(r_.b()); }
+  template <class T> void u32(T& v) { v = cast<T>(r_.u32()); }
+  template <class T> void u64(T& v) { v = cast<T>(r_.u64()); }
+  template <class T> void i32(T& v) { v = cast<T>(r_.i32()); }
+  template <class T> void i64(T& v) { v = cast<T>(r_.i64()); }
+  void f64(double& v) { v = r_.f64(); }
+
+  /// Element count for a container about to be walked; fails when the
+  /// count cannot fit in the remaining bytes (see Reader::count).
+  void u64Count(std::uint64_t& n, std::size_t minElemBytes) {
+    n = r_.count(minElemBytes);
+  }
+  /// A size fixed at construction from the same configuration.
+  void u64Expect(std::uint64_t size) {
+    if (r_.u64() != size) r_.fail();
+  }
+  /// An enum in [0, max]; out of range fails and leaves `e` unchanged.
+  template <class E> void u8Enum(E& e, E max) {
+    const std::uint8_t v = r_.u8();
+    if (v > static_cast<std::uint8_t>(max)) return r_.fail();
+    e = static_cast<E>(v);
+  }
+  /// An index in [first, limit); out of range fails and stores `first`, so
+  /// callers still check ok() before using the index.
+  template <class I> void i32Index(I& i, std::int64_t limit, std::int64_t first = 0) {
+    const std::int32_t v = r_.i32();
+    const bool inRange = v >= first && v < limit;
+    if (!inRange) r_.fail();
+    i = static_cast<I>(inRange ? v : first);
+  }
+
+  /// Walk a sub-object through its load() entry point (virtual ones too).
+  template <class T> void sub(T& obj) { obj.load(r_); }
+
+  /// Rebuild a map written by SaveArchive::mapSorted; `minEntryBytes` is a
+  /// lower bound on one entry's encoded size (key included).
+  template <class Map, class WalkValue>
+  void mapSorted(Map& m, std::size_t minEntryBytes, WalkValue&& walkValue) {
+    m.clear();
+    const std::uint64_t n = r_.count(minEntryBytes);
+    for (std::uint64_t i = 0; i < n && r_.ok(); ++i) {
+      const auto key = static_cast<typename Map::key_type>(r_.i64());
+      typename Map::mapped_type value{};
+      walkValue(value);
+      m.emplace(key, std::move(value));
+    }
+  }
+
+  void fail() { r_.fail(); }
+  bool ok() const { return r_.ok(); }
+
+ private:
+  template <class T, class From>
+  static T cast(From v) {
+    static_assert(kWireInt<T>, "integer wire ops take integer or enum fields");
+    return static_cast<T>(v);
+  }
+  Reader& r_;
+};
 
 }  // namespace mb::ckpt
+
+/// Generates a class's save()/load() entry points as forwarders to its
+/// io() walk. `pre` is empty or `virtual`, `post` empty or `override`:
+///   MB_SNAP_ENTRY_POINTS(, );  MB_SNAP_ENTRY_POINTS(virtual, );
+///   MB_SNAP_ENTRY_POINTS(, override);
+/// io() is non-const; the save direction only reads through the archive.
+#define MB_SNAP_ENTRY_POINTS(pre, post)                                     \
+  pre void save(::mb::ckpt::Writer& w) const post {                         \
+    ::mb::ckpt::SaveArchive ar(w);                                          \
+    const_cast<std::remove_cvref_t<decltype(*this)>&>(*this).io(ar);        \
+  }                                                                         \
+  pre void load(::mb::ckpt::Reader& r) post {                               \
+    ::mb::ckpt::LoadArchive ar(r);                                          \
+    io(ar);                                                                 \
+  }
+
+/// Instantiates an io() walk defined out of line, for both archives; goes
+/// in the .cpp that defines it.
+#define MB_SNAP_IO_INSTANTIATE(Cls)                \
+  template void Cls::io(::mb::ckpt::SaveArchive&); \
+  template void Cls::io(::mb::ckpt::LoadArchive&)

@@ -20,8 +20,9 @@
 //
 // The interface is the subset of std::map the call sites use: find/count/
 // at/operator[]/emplace/erase/clear/size/empty plus sorted begin()/end().
-// ckpt::saveMapSorted accepts a FlatMap unchanged (key_type, iteration,
-// at()), and writes the same bytes it wrote for the unordered original.
+// The archives' mapSorted walk accepts a FlatMap unchanged (key_type,
+// iteration, at(), clear/emplace), and writes the same bytes it wrote for
+// the unordered original.
 #pragma once
 
 #include <algorithm>

@@ -22,8 +22,8 @@ class Counter {
   std::int64_t value() const { return value_; }
   void reset() { value_ = 0; }
 
-  void save(ckpt::Writer& w) const { w.i64(value_); }
-  void load(ckpt::Reader& r) { value_ = r.i64(); }
+  template <class Ar> void io(Ar& ar) { ar.i64(value_); }
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   std::int64_t value_ = 0;
@@ -48,20 +48,14 @@ class Accumulator {
   double variance() const;
   void reset() { *this = Accumulator{}; }
 
-  void save(ckpt::Writer& w) const {
-    w.i64(count_);
-    w.f64(sum_);
-    w.f64(sumSq_);
-    w.f64(min_);
-    w.f64(max_);
+  template <class Ar> void io(Ar& ar) {
+    ar.i64(count_);
+    ar.f64(sum_);
+    ar.f64(sumSq_);
+    ar.f64(min_);
+    ar.f64(max_);
   }
-  void load(ckpt::Reader& r) {
-    count_ = r.i64();
-    sum_ = r.f64();
-    sumSq_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-  }
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   std::int64_t count_ = 0;
@@ -109,24 +103,16 @@ class Histogram {
   /// Bucket geometry is a construction parameter, so load() requires the
   /// target histogram to have the same width and bucket count and fails the
   /// reader otherwise.
-  void save(ckpt::Writer& w) const {
-    w.f64(bucketWidth_);
-    w.u64(buckets_.size());
-    for (std::int64_t b : buckets_) w.i64(b);
-    w.i64(total_);
-    w.f64(sum_);
+  template <class Ar> void io(Ar& ar) {
+    double width = bucketWidth_;
+    ar.f64(width);
+    if (width != bucketWidth_) return ar.fail();
+    ar.u64Expect(buckets_.size());
+    for (auto& b : buckets_) ar.i64(b);
+    ar.i64(total_);
+    ar.f64(sum_);
   }
-  void load(ckpt::Reader& r) {
-    const double width = r.f64();
-    const std::uint64_t n = r.count(8);
-    if (width != bucketWidth_ || n != buckets_.size()) {
-      r.fail();
-      return;
-    }
-    for (auto& b : buckets_) b = r.i64();
-    total_ = r.i64();
-    sum_ = r.f64();
-  }
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   double bucketWidth_;
@@ -163,16 +149,12 @@ class TimeWeightedLevel {
 
   double current() const { return level_; }
 
-  void save(ckpt::Writer& w) const {
-    w.i64(lastTick_);
-    w.f64(level_);
-    w.f64(weightedSum_);
+  template <class Ar> void io(Ar& ar) {
+    ar.i64(lastTick_);
+    ar.f64(level_);
+    ar.f64(weightedSum_);
   }
-  void load(ckpt::Reader& r) {
-    lastTick_ = r.i64();
-    level_ = r.f64();
-    weightedSum_ = r.f64();
-  }
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   Tick lastTick_ = 0;

@@ -81,25 +81,14 @@ void TournamentPolicy::onAccess(std::int64_t flatUbank, bool rowHit) {
 }
 
 
-void TournamentPolicy::save(ckpt::Writer& w) const {
-  ckpt::saveMapSorted(w, scores_, [&](const Scores& sc) {
-    for (int c = 0; c < kNumCandidates; ++c) w.i32(sc.score[c]);
+template <class Ar>
+void TournamentPolicy::io(Ar& ar) {
+  ar.mapSorted(scores_, 8 + 4 * kNumCandidates, [&](Scores& sc) {
+    for (int c = 0; c < kNumCandidates; ++c) ar.i32(sc.score[c]);
   });
-  local_.save(w);
-  global_.save(w);
+  ar.sub(local_);
+  ar.sub(global_);
 }
-
-void TournamentPolicy::load(ckpt::Reader& r) {
-  scores_.clear();
-  const std::uint64_t n = r.count(8 + 4 * kNumCandidates);
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    const std::int64_t key = r.i64();
-    Scores sc;
-    for (int c = 0; c < kNumCandidates; ++c) sc.score[c] = r.i32();
-    scores_.emplace(key, sc);
-  }
-  local_.load(r);
-  global_.load(r);
-}
+MB_SNAP_IO_INSTANTIATE(TournamentPolicy);
 
 }  // namespace mb::core

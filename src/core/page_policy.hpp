@@ -96,8 +96,12 @@ class MB_CHANNEL_LOCAL PagePolicy {
   /// predictive policies keep their counters in key-sorted FlatMaps, so the
   /// serialized bytes are key-ordered by construction (MB-DET-001: no
   /// hash-order walk can reach a snapshot or report).
-  virtual void save(ckpt::Writer&) const {}
-  virtual void load(ckpt::Reader&) {}
+  MB_SNAP_ENTRY_POINTS(virtual, );
+
+ private:
+  // Private so a PagePolicy& cannot reach this empty walk in place of a
+  // subclass's: callers go through the virtual entry points (ar.sub()).
+  template <class Ar> void io(Ar&) {}
 };
 
 /// Factory for every policy the paper evaluates.
@@ -136,17 +140,10 @@ class MB_CHANNEL_LOCAL MinimalistOpenPolicy final : public PagePolicy {
 
   PolicyKind kind() const override { return PolicyKind::MinimalistOpen; }
 
-  void save(ckpt::Writer& w) const override {
-    ckpt::saveMapSorted(w, hitsSinceAct_, [&](int hits) { w.i32(hits); });
+  template <class Ar> void io(Ar& ar) {
+    ar.mapSorted(hitsSinceAct_, 12, [&](int& hits) { ar.i32(hits); });
   }
-  void load(ckpt::Reader& r) override {
-    hitsSinceAct_.clear();
-    const std::uint64_t n = r.count(12);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      const std::int64_t key = r.i64();
-      hitsSinceAct_.emplace(key, r.i32());
-    }
-  }
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   int hitBudget_;
@@ -165,18 +162,14 @@ class MB_CHANNEL_LOCAL LocalBimodalPolicy final : public PagePolicy {
   }
   PolicyKind kind() const override { return PolicyKind::LocalBimodal; }
 
-  void save(ckpt::Writer& w) const override {
-    ckpt::saveMapSorted(w, counters_,
-                        [&](const TwoBitCounter& c) { w.i32(c.state()); });
+  template <class Ar> void io(Ar& ar) {
+    ar.mapSorted(counters_, 12, [&](TwoBitCounter& c) {
+      int state = c.state();
+      ar.i32(state);
+      if constexpr (Ar::kLoading) c.setState(state);
+    });
   }
-  void load(ckpt::Reader& r) override {
-    counters_.clear();
-    const std::uint64_t n = r.count(12);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      const std::int64_t key = r.i64();
-      counters_[key].setState(r.i32());
-    }
-  }
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   FlatMap<std::int64_t, TwoBitCounter> counters_;
@@ -194,18 +187,14 @@ class MB_CHANNEL_LOCAL GlobalBimodalPolicy final : public PagePolicy {
   }
   PolicyKind kind() const override { return PolicyKind::GlobalBimodal; }
 
-  void save(ckpt::Writer& w) const override {
-    ckpt::saveMapSorted(w, counters_,
-                        [&](const TwoBitCounter& c) { w.i32(c.state()); });
+  template <class Ar> void io(Ar& ar) {
+    ar.mapSorted(counters_, 12, [&](TwoBitCounter& c) {
+      int state = c.state();
+      ar.i32(state);
+      if constexpr (Ar::kLoading) c.setState(state);
+    });
   }
-  void load(ckpt::Reader& r) override {
-    counters_.clear();
-    const std::uint64_t n = r.count(12);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      const ThreadId key = static_cast<ThreadId>(r.i64());
-      counters_[key].setState(r.i32());
-    }
-  }
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   FlatMap<ThreadId, TwoBitCounter> counters_;
@@ -225,8 +214,8 @@ class MB_CHANNEL_LOCAL TournamentPolicy final : public PagePolicy {
   /// Index of the currently winning candidate for a μbank (for tests).
   int bestCandidate(std::int64_t flatUbank) const;
 
-  void save(ckpt::Writer& w) const override;
-  void load(ckpt::Reader& r) override;
+  template <class Ar> void io(Ar& ar);
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   static constexpr int kNumCandidates = 4;  // open, close, local, global

@@ -91,35 +91,17 @@ std::int64_t Cache::validLineCount() const {
 }
 
 
-void Cache::save(ckpt::Writer& w) const {
-  w.u64(lines_.size());
-  for (const auto& ln : lines_) {
-    w.u64(ln.tag);
-    w.u8(static_cast<std::uint8_t>(ln.state));
-    w.u64(ln.lruStamp);
-    w.b(ln.prefetched);
-  }
-  w.u64(lruCounter_);
-}
-
-void Cache::load(ckpt::Reader& r) {
-  const std::uint64_t n = r.count(18);
-  if (n != lines_.size()) {
-    r.fail();
-    return;
-  }
+template <class Ar>
+void Cache::io(Ar& ar) {
+  ar.u64Expect(lines_.size());
   for (auto& ln : lines_) {
-    ln.tag = r.u64();
-    const std::uint8_t st = r.u8();
-    if (st > static_cast<std::uint8_t>(LineState::Modified)) {
-      r.fail();
-      return;
-    }
-    ln.state = static_cast<LineState>(st);
-    ln.lruStamp = r.u64();
-    ln.prefetched = r.b();
+    ar.u64(ln.tag);
+    ar.u8Enum(ln.state, LineState::Modified);
+    ar.u64(ln.lruStamp);
+    ar.b(ln.prefetched);
   }
-  lruCounter_ = r.u64();
+  ar.u64(lruCounter_);
 }
+MB_SNAP_IO_INSTANTIATE(Cache);
 
 }  // namespace mb::cpu

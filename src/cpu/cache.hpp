@@ -58,8 +58,8 @@ class Cache {
 
   /// Serializable protocol: tag/state/LRU for every way (geometry is a
   /// construction parameter; a line-count mismatch fails the reader).
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
+  template <class Ar> void io(Ar& ar);
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   std::uint64_t tagOf(std::uint64_t addr) const { return addr >> (setBits_ + lineBits_); }

@@ -183,75 +183,39 @@ mc::CompletionFn RobCore::makeMemCallback(int tag) {
   return [this, tag](Tick when) { onMemResponse(tag, when); };
 }
 
-void RobCore::save(ckpt::Writer& w) const {
-  w.u64(ring_.size());
-  for (const auto& s : ring_) {
-    w.i64(s.completion);
-    w.b(s.pending);
-  }
-  w.u64(idx_);
-  w.i64(dispatchClock_);
-  w.i32(outstandingLoads_);
-  w.i32(outstandingStores_);
-  w.i32(pendingSlots_);
-  w.i32(lastLoadSlot_);
-  w.i64(lastLoadCompletion_);
-  w.b(lastLoadPending_);
-  w.u8(static_cast<std::uint8_t>(wait_));
-  w.i32(waitSlot_);
-  w.u32(cur_.gapInstrs);
-  w.u64(cur_.addr);
-  w.b(cur_.write);
-  w.b(cur_.dependent);
-  w.b(haveCur_);
-  w.u32(gapLeft_);
-  w.i64(recordsDone_);
-  w.i64(instrsRetired_);
-  w.b(budgetReached_);
-  w.b(stepScheduled_);
-  w.i64(stepAt_);
-  ckpt::saveStamp(w, stepStamp_);
-  w.i64(budgetTick_);
-}
-
-void RobCore::load(ckpt::Reader& r) {
-  if (r.u64() != ring_.size()) {
-    r.fail();
-    return;
-  }
+template <class Ar>
+void RobCore::io(Ar& ar) {
+  ar.u64Expect(ring_.size());
   for (auto& s : ring_) {
-    s.completion = r.i64();
-    s.pending = r.b();
+    ar.i64(s.completion);
+    ar.b(s.pending);
   }
-  idx_ = r.u64();
-  dispatchClock_ = r.i64();
-  outstandingLoads_ = r.i32();
-  outstandingStores_ = r.i32();
-  pendingSlots_ = r.i32();
-  lastLoadSlot_ = r.i32();
-  lastLoadCompletion_ = r.i64();
-  lastLoadPending_ = r.b();
-  const std::uint8_t wait = r.u8();
-  if (wait > static_cast<std::uint8_t>(WaitKind::StoreBuffer)) {
-    r.fail();
-    return;
-  }
-  wait_ = static_cast<WaitKind>(wait);
-  waitSlot_ = r.i32();
-  cur_.gapInstrs = r.u32();
-  cur_.addr = r.u64();
-  cur_.write = r.b();
-  cur_.dependent = r.b();
-  haveCur_ = r.b();
-  gapLeft_ = r.u32();
-  recordsDone_ = r.i64();
-  instrsRetired_ = r.i64();
-  budgetReached_ = r.b();
-  stepScheduled_ = r.b();
-  stepAt_ = r.i64();
-  stepStamp_ = ckpt::loadStamp(r);
-  budgetTick_ = r.i64();
+  const auto slots = static_cast<std::int64_t>(ring_.size());
+  ar.u64(idx_);
+  ar.i64(dispatchClock_);
+  ar.i32(outstandingLoads_);
+  ar.i32(outstandingStores_);
+  ar.i32(pendingSlots_);
+  ar.i32Index(lastLoadSlot_, slots, -1);
+  ar.i64(lastLoadCompletion_);
+  ar.b(lastLoadPending_);
+  ar.u8Enum(wait_, WaitKind::StoreBuffer);
+  ar.i32Index(waitSlot_, slots, -1);
+  ar.u32(cur_.gapInstrs);
+  ar.u64(cur_.addr);
+  ar.b(cur_.write);
+  ar.b(cur_.dependent);
+  ar.b(haveCur_);
+  ar.u32(gapLeft_);
+  ar.i64(recordsDone_);
+  ar.i64(instrsRetired_);
+  ar.b(budgetReached_);
+  ar.b(stepScheduled_);
+  ar.i64(stepAt_);
+  ckpt::ioStamp(ar, stepStamp_);
+  ar.i64(budgetTick_);
 }
+MB_SNAP_IO_INSTANTIATE(RobCore);
 
 void RobCore::reschedule(ckpt::EventRestorer& er) {
   if (!stepScheduled_) return;

@@ -76,8 +76,8 @@ class RobCore {
 
   /// Serializable protocol (the full execution state of the core; the
   /// attached trace source is serialized separately by the system).
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
+  template <class Ar> void io(Ar& ar);
+  MB_SNAP_ENTRY_POINTS(, );
   /// Re-arm the pending step event (if one was outstanding) after load().
   void reschedule(ckpt::EventRestorer& er);
 

@@ -144,11 +144,14 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   /// to RobCore::makeMemCallback by the system. Must be set before load()
   /// when the snapshot carries pending fills with callbacks.
   std::function<mc::CompletionFn(CoreId core, int tag)> waiterResolver;
+  /// Bound on a restored waiter's tag: -1 (store drain) or a ROB slot below
+  /// this; anything else fails load(). Wired with waiterResolver.
+  int waiterTagLimit = 0;
 
   /// Serializable protocol (caches, directory, pending fills, prefetcher,
   /// in-flight hierarchy<->MC transits, stats).
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
+  template <class Ar> void io(Ar& ar);
+  MB_SNAP_ENTRY_POINTS(, );
   /// Re-arm in-flight transit events after load().
   void reschedule(ckpt::EventRestorer& er);
 

@@ -101,24 +101,16 @@ class EnergyMeter {
 
   const EnergyParams& params() const { return params_; }
 
-  void save(ckpt::Writer& w) const {
-    w.f64(actPre_);
-    w.f64(rdwr_);
-    w.f64(io_);
-    w.f64(staticE_);
-    w.i64(activations_);
-    w.i64(casOps_);
-    w.i64(refreshes_);
+  template <class Ar> void io(Ar& ar) {
+    ar.f64(actPre_);
+    ar.f64(rdwr_);
+    ar.f64(io_);
+    ar.f64(staticE_);
+    ar.i64(activations_);
+    ar.i64(casOps_);
+    ar.i64(refreshes_);
   }
-  void load(ckpt::Reader& r) {
-    actPre_ = r.f64();
-    rdwr_ = r.f64();
-    io_ = r.f64();
-    staticE_ = r.f64();
-    activations_ = r.i64();
-    casOps_ = r.i64();
-    refreshes_ = r.i64();
-  }
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   EnergyParams params_;

@@ -137,11 +137,14 @@ class MB_CHANNEL_LOCAL MemoryController {
   /// supplied. Must be set before load() when the snapshot carries in-flight
   /// completions; the system wires it to the memory hierarchy.
   std::function<CompletionFn(std::uint64_t addr, CoreId core)> completionFactory;
+  /// Cores a restored request or completion may name: [0, coreCount).
+  /// Wired with completionFactory; anything outside fails load().
+  int coreCount = 0;
 
   /// Serializable protocol (mutable state only; geometry/timing/config come
   /// from construction and are covered by the snapshot's config hash).
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
+  template <class Ar> void io(Ar& ar);
+  MB_SNAP_ENTRY_POINTS(, );
   /// Re-arm the controller's pending events (wake-ups and in-flight read
   /// completions) after load(); original event order is preserved via the
   /// saved sequence numbers.
@@ -205,8 +208,8 @@ class MB_CHANNEL_LOCAL MemoryController {
                           CoreId core);
   int allocCompletionSlot();
   void fireCompletion(int slot, std::uint64_t token);
-  void savePending(ckpt::Writer& w, const Pending& p) const;
-  ReqHandle loadPending(ckpt::Reader& r);
+  /// One queued request; loading allocates its arena slot into `h`.
+  template <class Ar> void ioPending(Ar& ar, ReqHandle& h);
   void resolveSpeculation(std::int64_t flat, int ub, std::int64_t incomingRow);
   void onRequestServiced(ReqHandle h, Tick dataEnd);
   void maybeSpeculate(const core::DramAddress& da, std::int64_t flat, int ub,

@@ -266,113 +266,46 @@ double ChannelState::dataBusUtilization(Tick elapsed) const {
 
 // ---- Serializable protocol -----------------------------------------------
 
-void UbankState::save(ckpt::Writer& w) const {
-  w.i64(openRow);
-  w.i64(actReadyAt);
-  w.i64(lastActAt);
-  w.i64(lastReadCasAt);
-  w.i64(lastWriteDataEndAt);
-  w.b(lazyPending);
-  w.i64(earliestPreAt);
-}
-
-void UbankState::load(ckpt::Reader& r) {
-  openRow = r.i64();
-  actReadyAt = r.i64();
-  lastActAt = r.i64();
-  lastReadCasAt = r.i64();
-  lastWriteDataEndAt = r.i64();
-  lazyPending = r.b();
-  earliestPreAt = r.i64();
-}
-
-void ActRing::save(ckpt::Writer& w) const {
-  w.u64(static_cast<std::uint64_t>(len_));
-  for (int i = 0; i < size(); ++i) w.i64(at(i));
-}
-
-void ActRing::load(ckpt::Reader& r) {
-  clear();
-  const std::uint64_t n = r.count(8);
-  if (n > kCap) {
-    // Honest writers keep the window at the tFAW occupancy bound; anything
-    // longer is a corrupt or hostile snapshot.
-    r.fail();
-    return;
-  }
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) push(r.i64());
-}
-
-void ChannelState::save(ckpt::Writer& w) const {
+template <class Ar>
+void ChannelState::io(Ar& ar) {
   // Legacy layout: per rank, the refresh rotation pointer, then every
   // μbank record in [bank][ubank] order (== ubankIndex order), then the
   // rank scalars — byte-identical to the old nested-struct walk.
-  w.u64(ranks_.size());
-  for (size_t rankIdx = 0; rankIdx < ranks_.size(); ++rankIdx) {
-    const auto& rk = ranks_[rankIdx];
-    w.i32(rk.nextRefreshBank);
-    const size_t base = rankIdx * static_cast<size_t>(ubanksPerRank_);
-    for (size_t i = base; i < base + static_cast<size_t>(ubanksPerRank_); ++i) {
-      w.i64(openRow_[i]);
-      w.i64(actReadyAt_[i]);
-      w.i64(lastActAt_[i]);
-      w.i64(lastReadCasAt_[i]);
-      w.i64(lastWriteDataEndAt_[i]);
-      w.b(lazyPending_[i] != 0);
-      w.i64(earliestPreAt_[i]);
-    }
-    w.i64(rk.lastActAt);
-    rk.actWindow.save(w);
-    w.i64(rk.lastWriteDataEndAt);
-    w.i64(rk.refreshUntil);
-    w.i64(rk.nextRefreshAt);
-  }
-  w.i64(cmdBusFreeAt_);
-  w.i64(dataBusFreeAt_);
-  w.i64(lastCasAt_);
-  w.i32(lastCasRank_);
-  w.i64(busyTicks_);
-  w.b(refreshEnabled);
-  w.b(perBankRefresh);
-}
-
-void ChannelState::load(ckpt::Reader& r) {
-  const std::uint64_t n = r.count(8);
-  if (n != ranks_.size()) {
-    r.fail();
-    return;
-  }
-  for (size_t rankIdx = 0; rankIdx < ranks_.size() && r.ok(); ++rankIdx) {
+  ar.u64Expect(ranks_.size());
+  for (size_t rankIdx = 0; rankIdx < ranks_.size() && ar.ok(); ++rankIdx) {
     auto& rk = ranks_[rankIdx];
-    rk.nextRefreshBank = r.i32();
+    ar.i32Index(rk.nextRefreshBank, banksPerRank_);
     const size_t base = rankIdx * static_cast<size_t>(ubanksPerRank_);
     for (size_t i = base; i < base + static_cast<size_t>(ubanksPerRank_); ++i) {
-      openRow_[i] = r.i64();
-      actReadyAt_[i] = r.i64();
-      lastActAt_[i] = r.i64();
-      lastReadCasAt_[i] = r.i64();
-      lastWriteDataEndAt_[i] = r.i64();
-      lazyPending_[i] = r.b() ? 1 : 0;
-      earliestPreAt_[i] = r.i64();
+      ar.i64(openRow_[i]);
+      ar.i64(actReadyAt_[i]);
+      ar.i64(lastActAt_[i]);
+      ar.i64(lastReadCasAt_[i]);
+      ar.i64(lastWriteDataEndAt_[i]);
+      ar.b(lazyPending_[i]);
+      ar.i64(earliestPreAt_[i]);
     }
-    rk.lastActAt = r.i64();
-    rk.actWindow.load(r);
-    rk.lastWriteDataEndAt = r.i64();
-    rk.refreshUntil = r.i64();
-    rk.nextRefreshAt = r.i64();
+    ar.i64(rk.lastActAt);
+    ar.sub(rk.actWindow);
+    ar.i64(rk.lastWriteDataEndAt);
+    ar.i64(rk.refreshUntil);
+    ar.i64(rk.nextRefreshAt);
   }
-  // Rebuild the open-row bitset from the freshly loaded openRow values.
-  std::fill(openRowBits_.begin(), openRowBits_.end(), 0);
-  for (size_t i = 0; i < openRow_.size(); ++i) {
-    if (openRow_[i] >= 0) openRowBits_[i >> 6] |= 1ULL << (i & 63);
+  if constexpr (Ar::kLoading) {
+    // Rebuild the open-row bitset from the freshly loaded openRow values.
+    std::fill(openRowBits_.begin(), openRowBits_.end(), 0);
+    for (size_t i = 0; i < openRow_.size(); ++i) {
+      if (openRow_[i] >= 0) openRowBits_[i >> 6] |= 1ULL << (i & 63);
+    }
   }
-  cmdBusFreeAt_ = r.i64();
-  dataBusFreeAt_ = r.i64();
-  lastCasAt_ = r.i64();
-  lastCasRank_ = r.i32();
-  busyTicks_ = r.i64();
-  refreshEnabled = r.b();
-  perBankRefresh = r.b();
+  ar.i64(cmdBusFreeAt_);
+  ar.i64(dataBusFreeAt_);
+  ar.i64(lastCasAt_);
+  ar.i32Index(lastCasRank_, static_cast<std::int64_t>(ranks_.size()), -1);
+  ar.i64(busyTicks_);
+  ar.b(refreshEnabled);
+  ar.b(perBankRefresh);
 }
+MB_SNAP_IO_INSTANTIATE(ChannelState);
 
 }  // namespace mb::mc

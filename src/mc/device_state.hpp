@@ -60,8 +60,16 @@ struct MB_CHANNEL_LOCAL UbankState {
 
   bool rowOpen() const { return openRow >= 0; }
 
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
+  template <class Ar> void io(Ar& ar) {
+    ar.i64(openRow);
+    ar.i64(actReadyAt);
+    ar.i64(lastActAt);
+    ar.i64(lastReadCasAt);
+    ar.i64(lastWriteDataEndAt);
+    ar.b(lazyPending);
+    ar.i64(earliestPreAt);
+  }
+  MB_SNAP_ENTRY_POINTS(, );
 };
 
 /// Fixed-capacity ring over the last (up to) four ACT times — the tFAW
@@ -94,20 +102,27 @@ class MB_CHANNEL_LOCAL ActRing {
   bool full() const { return len_ == kCap; }
   void clear() { head_ = len_ = 0; }
 
-  /// Legacy byte format: u64 count, then the entries oldest-to-newest.
-  void save(ckpt::Writer& w) const;
-  /// Fails the reader (sticky, surfaces as an MB-CKP decode error) on a
-  /// count above the tFAW capacity: honest writers never emit one, so it
-  /// can only come from a corrupt or hostile snapshot.
-  void load(ckpt::Reader& r);
+  /// Legacy byte format: u64 count, then the entries oldest-to-newest; a
+  /// loaded ring starts at slot 0. A count above the tFAW capacity fails
+  /// the reader (sticky, surfaces as an MB-CKP decode error): honest writers
+  /// never emit one, so it can only come from a corrupt or hostile snapshot.
+  template <class Ar> void io(Ar& ar) {
+    std::uint64_t n = len_;
+    ar.u64Count(n, 8);
+    if (n > kCap) return ar.fail();
+    if constexpr (Ar::kLoading) {
+      head_ = 0;
+      len_ = static_cast<std::uint8_t>(n);
+    }
+    for (int i = 0; i < len_; ++i) ar.i64(slot_[(head_ + i) & kMask]);
+  }
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   static constexpr int kCap = 4;
   static constexpr unsigned kMask = 3;
   std::array<Tick, kCap> slot_{};
-  MB_SNAP_TRANSIENT(slot_, "ring storage; save() re-encodes entries oldest-to-newest via at() and load() rebuilds through push()");
   std::uint8_t head_ = 0;
-  MB_SNAP_TRANSIENT(head_, "ring cursor; the canonical oldest-to-newest encoding restores head_ = 0 on load");
   std::uint8_t len_ = 0;
 };
 
@@ -233,8 +248,8 @@ class MB_CHANNEL_LOCAL ChannelState {
   /// Serializable protocol: geometry/timing are construction parameters,
   /// only the timestamp algebra state travels. Bytes match the legacy
   /// per-μbank record layout exactly (rank-major, then bank, then μbank).
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
+  template <class Ar> void io(Ar& ar);
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   Tick fawReadyAt(const RankState& rank) const;

@@ -180,41 +180,19 @@ Scheduler::PickPair ParBsScheduler::pickPair(std::vector<Candidate>& cands, Tick
 // (formBatch walks it to mark the oldest per thread); the marked maps are
 // lookup-only during picks, so they travel sorted by key.
 
-void ParBsScheduler::save(ckpt::Writer& w) const {
-  ckpt::saveMapSorted(w, marked_,
-                      [&](ThreadId t) { w.i32(t); });
-  ckpt::saveMapSorted(w, markedPerThread_,
-                      [&](int n) { w.i32(n); });
-  w.u64(queueView_.size());
-  for (const auto& qe : queueView_) {
-    w.u64(qe.id);
-    w.i32(qe.thread);
-    w.i64(qe.arrival);
+template <class Ar>
+void ParBsScheduler::io(Ar& ar) {
+  ar.mapSorted(marked_, 12, [&](ThreadId& t) { ar.i32(t); });
+  ar.mapSorted(markedPerThread_, 12, [&](int& n) { ar.i32(n); });
+  std::uint64_t n = queueView_.size();
+  ar.u64Count(n, 20);
+  if constexpr (Ar::kLoading) queueView_.assign(n, QueueEntry{});
+  for (auto& qe : queueView_) {
+    ar.u64(qe.id);
+    ar.i32(qe.thread);
+    ar.i64(qe.arrival);
   }
 }
-
-void ParBsScheduler::load(ckpt::Reader& r) {
-  marked_.clear();
-  const std::uint64_t nMarked = r.count(12);
-  for (std::uint64_t i = 0; i < nMarked && r.ok(); ++i) {
-    const std::uint64_t id = static_cast<std::uint64_t>(r.i64());
-    marked_.emplace(id, r.i32());
-  }
-  markedPerThread_.clear();
-  const std::uint64_t nThreads = r.count(12);
-  for (std::uint64_t i = 0; i < nThreads && r.ok(); ++i) {
-    const ThreadId t = static_cast<ThreadId>(r.i64());
-    markedPerThread_.emplace(t, r.i32());
-  }
-  queueView_.clear();
-  const std::uint64_t nQueue = r.count(20);
-  for (std::uint64_t i = 0; i < nQueue && r.ok(); ++i) {
-    QueueEntry qe;
-    qe.id = r.u64();
-    qe.thread = r.i32();
-    qe.arrival = r.i64();
-    queueView_.push_back(qe);
-  }
-}
+MB_SNAP_IO_INSTANTIATE(ParBsScheduler);
 
 }  // namespace mb::mc

@@ -95,8 +95,12 @@ class MB_CHANNEL_LOCAL Scheduler {
 
   /// Serializable protocol. FCFS / FR-FCFS are stateless; PAR-BS carries
   /// its batch state across a checkpoint.
-  virtual void save(ckpt::Writer&) const {}
-  virtual void load(ckpt::Reader&) {}
+  MB_SNAP_ENTRY_POINTS(virtual, );
+
+ private:
+  // Private so a Scheduler& cannot reach this empty walk in place of a
+  // subclass's: callers go through the virtual entry points (ar.sub()).
+  template <class Ar> void io(Ar&) {}
 };
 
 std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind);
@@ -136,10 +140,10 @@ class MB_CHANNEL_LOCAL ParBsScheduler final : public Scheduler {
     return marked_.empty() && !queueView_.empty();  // mirrors prepareBatch()
   }
 
-  void save(ckpt::Writer& w) const override;
-  void load(ckpt::Reader& r) override;
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
+  template <class Ar> void io(Ar& ar);
   void formBatch(const std::vector<Candidate>& cands);
   /// Batch upkeep shared by pick()/pickPair(): (re)form the batch when the
   /// previous one drained and stamp each candidate's `marked` flag.

@@ -184,59 +184,30 @@ bool TimingChecker::onCommand(DramCommand cmd, const core::DramAddress& da, Tick
 
 // ---- Serializable protocol -----------------------------------------------
 //
-// The shadow maps are FlatMaps sorted by key, so walking them for the
-// snapshot emits key order by construction; saveMapSorted is kept (it is a
-// no-op re-sort) so the byte format is visibly the same as before the
-// container swap.
+// The shadow maps are FlatMaps sorted by key, so mapSorted's key sort is a
+// no-op; it keeps the byte format visibly the same as before the container
+// swap.
 
-void TimingChecker::save(ckpt::Writer& w) const {
-  ckpt::saveMapSorted(w, ubanks_, [&](const UbankHistory& ub) {
-    w.i64(ub.lastActAt);
-    w.i64(ub.lastPreAt);
-    w.i64(ub.lastReadCasAt);
-    w.i64(ub.lastWriteDataEndAt);
-    w.i64(ub.openRow);
+template <class Ar>
+void TimingChecker::io(Ar& ar) {
+  ar.mapSorted(ubanks_, 8, [&](UbankHistory& ub) {
+    ar.i64(ub.lastActAt);
+    ar.i64(ub.lastPreAt);
+    ar.i64(ub.lastReadCasAt);
+    ar.i64(ub.lastWriteDataEndAt);
+    ar.i64(ub.openRow);
   });
-  ckpt::saveMapSorted(w, ranks_, [&](const RankHistory& rk) {
-    w.i64(rk.lastActAt);
-    rk.actWindow.save(w);
-    w.i64(rk.lastWriteDataEndAt);
+  ar.mapSorted(ranks_, 8, [&](RankHistory& rk) {
+    ar.i64(rk.lastActAt);
+    ar.sub(rk.actWindow);
+    ar.i64(rk.lastWriteDataEndAt);
   });
-  w.i64(lastCmdAt_);
-  w.i64(lastCasAt_);
-  w.i64(lastDataEndAt_);
-  w.i32(lastCasRank_);
-  w.i64(commandsChecked_);
+  ar.i64(lastCmdAt_);
+  ar.i64(lastCasAt_);
+  ar.i64(lastDataEndAt_);
+  ar.i32(lastCasRank_);
+  ar.i64(commandsChecked_);
 }
-
-void TimingChecker::load(ckpt::Reader& r) {
-  ubanks_.clear();
-  const std::uint64_t nUb = r.count(8);
-  for (std::uint64_t i = 0; i < nUb && r.ok(); ++i) {
-    const std::int64_t key = r.i64();
-    UbankHistory ub;
-    ub.lastActAt = r.i64();
-    ub.lastPreAt = r.i64();
-    ub.lastReadCasAt = r.i64();
-    ub.lastWriteDataEndAt = r.i64();
-    ub.openRow = r.i64();
-    ubanks_.emplace(key, ub);
-  }
-  ranks_.clear();
-  const std::uint64_t nRk = r.count(8);
-  for (std::uint64_t i = 0; i < nRk && r.ok(); ++i) {
-    const std::int64_t key = r.i64();
-    RankHistory rk;
-    rk.lastActAt = r.i64();
-    rk.actWindow.load(r);
-    rk.lastWriteDataEndAt = r.i64();
-    ranks_.emplace(key, rk);
-  }
-  lastCmdAt_ = r.i64();
-  lastCasAt_ = r.i64();
-  lastDataEndAt_ = r.i64();
-  lastCasRank_ = r.i32();
-  commandsChecked_ = r.i64();
-}
+MB_SNAP_IO_INSTANTIATE(TimingChecker);
 
 }  // namespace mb::mc

@@ -82,8 +82,8 @@ class MB_CHANNEL_LOCAL TimingChecker {
 
   /// Serializable protocol: the shadow maps iterate sorted by key, so the
   /// snapshot bytes are key-ordered by construction.
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
+  template <class Ar> void io(Ar& ar);
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   struct UbankHistory {

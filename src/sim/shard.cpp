@@ -281,47 +281,37 @@ void ShardedEngine::restoreClocks(Tick now) {
   for (EventQueue* q : chQs_) q->restoreClock(now);
 }
 
-void ShardedEngine::save(ckpt::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(chQs_.size()));
-  w.u64(cpuQ_.nextCounter());
-  for (const EventQueue* q : chQs_) w.u64(q->nextCounter());
-  for (const auto& buf : toChannel_) {
-    w.u64(buf.size());
-    for (const ChannelMsg& m : buf) {
-      w.i64(m.due);
-      ckpt::saveStamp(w, m.stamp);
-      w.u64(m.lineAddr);
-      w.i32(m.core);
-      w.b(m.write);
+template <class Ar>
+void ShardedEngine::io(Ar& ar) {
+  std::uint32_t channels = static_cast<std::uint32_t>(chQs_.size());
+  ar.u32(channels);
+  if (channels != chQs_.size()) return ar.fail();
+  std::uint64_t counter = cpuQ_.nextCounter();
+  ar.u64(counter);
+  if constexpr (Ar::kLoading) cpuQ_.restoreNextCounter(counter);
+  for (EventQueue* q : chQs_) {
+    counter = q->nextCounter();
+    ar.u64(counter);
+    if constexpr (Ar::kLoading) q->restoreNextCounter(counter);
+  }
+  if constexpr (Ar::kLoading) minToChannelDue_ = kTickNever;
+  for (auto& buf : toChannel_) {
+    std::uint64_t n = buf.size();
+    ar.u64Count(n, 8 + 40 + 8 + 4 + 1);
+    if constexpr (Ar::kLoading) buf.assign(n, ChannelMsg{});
+    for (ChannelMsg& m : buf) {
+      ar.i64(m.due);
+      ckpt::ioStamp(ar, m.stamp);
+      ar.u64(m.lineAddr);
+      ar.i32Index(m.core, numCores_);
+      ar.b(m.write);
+      if constexpr (Ar::kLoading)
+        if (m.due < minToChannelDue_) minToChannelDue_ = m.due;
     }
   }
   // toCpu_ is intentionally absent: every buffered completion corresponds to
   // a live slot in some controller's MC section, which re-posts it on replay.
 }
-
-void ShardedEngine::load(ckpt::Reader& r) {
-  if (r.u32() != chQs_.size()) {
-    r.fail();
-    return;
-  }
-  cpuQ_.restoreNextCounter(r.u64());
-  for (EventQueue* q : chQs_) q->restoreNextCounter(r.u64());
-  minToChannelDue_ = kTickNever;
-  for (auto& buf : toChannel_) {
-    const std::uint64_t n = r.count(8 + 40 + 8 + 4 + 1);
-    buf.clear();
-    buf.reserve(n);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      ChannelMsg m{};
-      m.due = r.i64();
-      m.stamp = ckpt::loadStamp(r);
-      m.lineAddr = r.u64();
-      m.core = r.i32();
-      m.write = r.b();
-      if (m.due < minToChannelDue_) minToChannelDue_ = m.due;
-      buf.push_back(m);
-    }
-  }
-}
+MB_SNAP_IO_INSTANTIATE(ShardedEngine);
 
 }  // namespace mb::sim

@@ -263,11 +263,56 @@ ckpt::SnapshotGeometry snapshotGeometry(const dram::Geometry& g) {
 
 std::string mcSectionName(std::size_t i) { return "MC" + std::to_string(i); }
 
+/// The sections of a warmup snapshot, in file order: `section(name, walk)`
+/// once per section, where `walk(ar)` drives that section's components
+/// through either archive. Capture and restore both go through this list.
+template <class Section>
+void warmupSections(BuiltSystem& sys, Section&& section) {
+  section("TRACE", [&](auto& ar) {
+    for (auto& t : sys.traces) ar.sub(*t);
+  });
+  section("HIER", [&](auto& ar) { ar.sub(*sys.hier); });
+}
+
+/// The sections of a full-run snapshot, in file order (see warmupSections).
+template <class Section>
+void fullRunSections(BuiltSystem& sys, ShardedEngine& engine, Section&& section) {
+  section("TRACE", [&](auto& ar) {
+    for (auto& t : sys.traces) ar.sub(*t);
+  });
+  section("CORES", [&](auto& ar) {
+    for (auto& c : sys.cores) ar.sub(*c);
+  });
+  section("HIER", [&](auto& ar) { ar.sub(*sys.hier); });
+  for (std::size_t i = 0; i < sys.mcs.size(); ++i)
+    section(mcSectionName(i), [&](auto& ar) { ar.sub(*sys.mcs[i]); });
+  section("ENG", [&](auto& ar) { ar.sub(engine); });
+}
+
+/// Section callback for the lists above that appends each section to `snap`.
+auto captureInto(ckpt::Snapshot& snap) {
+  return [&snap](const std::string& name, auto&& walk) {
+    ckpt::Writer w;
+    ckpt::SaveArchive ar(w);
+    walk(ar);
+    snap.addSection(name, w.take());
+  };
+}
+
+/// Section callback for the lists above that loads each section from `snap`.
+auto restoreFrom(const ckpt::Snapshot& snap, const std::string& label) {
+  return [&snap, &label](const std::string& name, auto&& walk) {
+    loadSection(snap, name, label, [&](ckpt::Reader& r) {
+      ckpt::LoadArchive ar(r);
+      walk(ar);
+    });
+  };
+}
+
 /// Capture the complete state of a running system as a full-run snapshot.
 /// Only taken at window boundaries (all queues quiescent between windows);
 /// `snap.now` is the latest queue clock — the tick of the last fired event.
-ckpt::Snapshot makeFullSnapshot(const BuiltSystem& sys,
-                                const ShardedEngine& engine,
+ckpt::Snapshot makeFullSnapshot(BuiltSystem& sys, ShardedEngine& engine,
                                 const SystemConfig& cfg,
                                 const WorkloadSpec& workload) {
   ckpt::Snapshot snap;
@@ -277,31 +322,7 @@ ckpt::Snapshot makeFullSnapshot(const BuiltSystem& sys,
   snap.geometry = snapshotGeometry(sys.geom);
   snap.tool = versionString();
   snap.workload = workload.name;
-  {
-    ckpt::Writer w;
-    for (const auto& t : sys.traces) t->save(w);
-    snap.addSection("TRACE", w.take());
-  }
-  {
-    ckpt::Writer w;
-    for (const auto& c : sys.cores) c->save(w);
-    snap.addSection("CORES", w.take());
-  }
-  {
-    ckpt::Writer w;
-    sys.hier->save(w);
-    snap.addSection("HIER", w.take());
-  }
-  for (std::size_t i = 0; i < sys.mcs.size(); ++i) {
-    ckpt::Writer w;
-    sys.mcs[i]->save(w);
-    snap.addSection(mcSectionName(i), w.take());
-  }
-  {
-    ckpt::Writer w;
-    engine.save(w);
-    snap.addSection("ENG", w.take());
-  }
+  fullRunSections(sys, engine, captureInto(snap));
   return snap;
 }
 
@@ -333,31 +354,22 @@ void restoreFullRun(BuiltSystem& sys, ShardedEngine& engine,
                                   label));
   }
 
-  // Wire the callback rebuilders before any state loads.
+  // Wire the callback rebuilders, and the index bounds load() checks every
+  // restored core id and waiter tag against, before any state loads.
   BuiltSystem* raw = &sys;
   sys.hier->waiterResolver = [raw](CoreId core, int tag) {
     MB_CHECK(core >= 0 && static_cast<size_t>(core) < raw->cores.size());
     return raw->cores[static_cast<size_t>(core)]->makeMemCallback(tag);
   };
+  sys.hier->waiterTagLimit = cfg.core.robSize;
   for (auto& mcPtr : sys.mcs) {
     mcPtr->completionFactory = [raw](std::uint64_t addr, CoreId core) {
       return raw->hier->makeReadCompletion(addr, core);
     };
+    mcPtr->coreCount = sys.numCores;
   }
 
-  loadSection(snap, "TRACE", label, [&](ckpt::Reader& r) {
-    for (auto& t : sys.traces) t->load(r);
-  });
-  loadSection(snap, "CORES", label, [&](ckpt::Reader& r) {
-    for (auto& c : sys.cores) c->load(r);
-  });
-  loadSection(snap, "HIER", label,
-              [&](ckpt::Reader& r) { sys.hier->load(r); });
-  for (std::size_t i = 0; i < sys.mcs.size(); ++i) {
-    loadSection(snap, mcSectionName(i), label,
-                [&](ckpt::Reader& r) { sys.mcs[i]->load(r); });
-  }
-  loadSection(snap, "ENG", label, [&](ckpt::Reader& r) { engine.load(r); });
+  fullRunSections(sys, engine, restoreFrom(snap, label));
 
   // Re-arm every pending event under its original stamp; the stamps ARE the
   // merge order, so replay order itself carries no information.
@@ -391,11 +403,7 @@ void restoreWarmup(BuiltSystem& sys, std::uint64_t expectKey,
                        .with("snapshot", static_cast<std::int64_t>(snap.warmupKey))
                        .with("expected", static_cast<std::int64_t>(expectKey)));
   }
-  loadSection(snap, "TRACE", label, [&](ckpt::Reader& r) {
-    for (auto& t : sys.traces) t->load(r);
-  });
-  loadSection(snap, "HIER", label,
-              [&](ckpt::Reader& r) { sys.hier->load(r); });
+  warmupSections(sys, restoreFrom(snap, label));
 }
 
 void encodeWorkload(ckpt::Writer& w, const WorkloadSpec& workload) {
@@ -426,23 +434,14 @@ void encodeHierConfig(ckpt::Writer& w, const cpu::HierarchyConfig& h) {
 
 /// Build a warmup snapshot from a system that just ran the functional
 /// warmup: trace cursors + hierarchy (cache/directory/prefetcher) state.
-ckpt::Snapshot makeWarmupSnapshot(const BuiltSystem& sys, std::uint64_t key,
+ckpt::Snapshot makeWarmupSnapshot(BuiltSystem& sys, std::uint64_t key,
                                   const WorkloadSpec& workload) {
   ckpt::Snapshot snap;
   snap.kind = ckpt::SnapshotKind::Warmup;
   snap.warmupKey = key;
   snap.tool = versionString();
   snap.workload = workload.name;
-  {
-    ckpt::Writer w;
-    for (const auto& t : sys.traces) t->save(w);
-    snap.addSection("TRACE", w.take());
-  }
-  {
-    ckpt::Writer w;
-    sys.hier->save(w);
-    snap.addSection("HIER", w.take());
-  }
+  warmupSections(sys, captureInto(snap));
   return snap;
 }
 
@@ -528,11 +527,10 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
   for (auto& q : sys->chQs) chQs.push_back(q.get());
   ShardedEngine engine(sys->eq, std::move(chQs), eopts);
   BuiltSystem* raw = sys.get();
-  engine.setDeliverEnqueue([raw](ChannelId ch, Tick /*due*/,
-                                 std::uint64_t lineAddr, CoreId core,
-                                 bool isWrite) {
-    raw->hier->deliverEnqueue(ch, lineAddr, core, isWrite);
-  });
+  engine.setDeliverEnqueue(
+      [raw](ChannelId ch, Tick /*due*/, std::uint64_t lineAddr, CoreId core,
+            bool isWrite) { raw->hier->deliverEnqueue(ch, lineAddr, core, isWrite); },
+      numCores);
   sys->hier->setMailbox(&engine);
   for (auto& mcPtr : sys->mcs) mcPtr->setMailbox(&engine);
   if (sys->cmdLog) {

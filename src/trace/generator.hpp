@@ -41,27 +41,20 @@ class TraceSource {
   virtual void load(ckpt::Reader& r) = 0;
 };
 
-/// Shared helpers for sources whose mutable state includes an Rng.
-inline void saveRng(ckpt::Writer& w, const Rng& rng) {
+/// Shared walks for sources whose mutable state includes an Rng or a
+/// cursor vector.
+template <class Ar>
+void ioRng(Ar& ar, Rng& rng) {
   std::uint64_t s[4];
   rng.getState(s);
-  for (std::uint64_t v : s) w.u64(v);
+  for (auto& v : s) ar.u64(v);
+  if constexpr (Ar::kLoading)
+    if (ar.ok()) rng.setState(s);
 }
-inline void loadRng(ckpt::Reader& r, Rng& rng) {
-  std::uint64_t s[4];
-  for (auto& v : s) v = r.u64();
-  if (r.ok()) rng.setState(s);
-}
-inline void saveCursorVec(ckpt::Writer& w, const std::vector<std::uint64_t>& v) {
-  w.u64(v.size());
-  for (std::uint64_t x : v) w.u64(x);
-}
-inline void loadCursorVec(ckpt::Reader& r, std::vector<std::uint64_t>& v) {
-  if (r.u64() != v.size()) {  // sized at construction from the same params
-    r.fail();
-    return;
-  }
-  for (auto& x : v) x = r.u64();
+template <class Ar>
+void ioCursorVec(Ar& ar, std::vector<std::uint64_t>& v) {
+  ar.u64Expect(v.size());  // sized at construction from the same params
+  for (auto& x : v) ar.u64(x);
 }
 
 /// Knobs for the single-threaded synthetic engine.
@@ -89,16 +82,12 @@ class SyntheticSource final : public TraceSource {
 
   const SyntheticParams& params() const { return p_; }
 
-  void save(ckpt::Writer& w) const override {
-    saveRng(w, rng_);
-    saveCursorVec(w, streamCursors_);
-    w.i32(nextStream_);
+  template <class Ar> void io(Ar& ar) {
+    ioRng(ar, rng_);
+    ioCursorVec(ar, streamCursors_);
+    ar.i32Index(nextStream_, static_cast<std::int64_t>(streamCursors_.size()));
   }
-  void load(ckpt::Reader& r) override {
-    loadRng(r, rng_);
-    loadCursorVec(r, streamCursors_);
-    nextStream_ = r.i32();
-  }
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   std::uint64_t randomColdLine();
@@ -136,16 +125,12 @@ class RadixSource final : public TraceSource {
   RadixSource(const MtParams& params, ThreadId thread);
   Record next() override;
 
-  void save(ckpt::Writer& w) const override {
-    saveRng(w, rng_);
-    w.u64(readCursor_);
-    saveCursorVec(w, bucketCursors_);
+  template <class Ar> void io(Ar& ar) {
+    ioRng(ar, rng_);
+    ar.u64(readCursor_);
+    ioCursorVec(ar, bucketCursors_);
   }
-  void load(ckpt::Reader& r) override {
-    loadRng(r, rng_);
-    readCursor_ = r.u64();
-    loadCursorVec(r, bucketCursors_);
-  }
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   Rng rng_;
@@ -164,18 +149,13 @@ class FftSource final : public TraceSource {
   FftSource(const MtParams& params, ThreadId thread);
   Record next() override;
 
-  void save(ckpt::Writer& w) const override {
-    saveRng(w, rng_);
-    w.u64(cursor_);
-    w.i32(phaseLeft_);
-    w.b(transposePhase_);
+  template <class Ar> void io(Ar& ar) {
+    ioRng(ar, rng_);
+    ar.u64(cursor_);
+    ar.i32(phaseLeft_);
+    ar.b(transposePhase_);
   }
-  void load(ckpt::Reader& r) override {
-    loadRng(r, rng_);
-    cursor_ = r.u64();
-    phaseLeft_ = r.i32();
-    transposePhase_ = r.b();
-  }
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   Rng rng_;
@@ -197,18 +177,13 @@ class CannealSource final : public TraceSource {
   CannealSource(const MtParams& params, ThreadId thread);
   Record next() override;
 
-  void save(ckpt::Writer& w) const override {
-    saveRng(w, rng_);
-    w.u64(burstBase_);
-    w.i32(burstLeft_);
-    w.b(burstWrite_);
+  template <class Ar> void io(Ar& ar) {
+    ioRng(ar, rng_);
+    ar.u64(burstBase_);
+    ar.i32(burstLeft_);
+    ar.b(burstWrite_);
   }
-  void load(ckpt::Reader& r) override {
-    loadRng(r, rng_);
-    burstBase_ = r.u64();
-    burstLeft_ = r.i32();
-    burstWrite_ = r.b();
-  }
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   Rng rng_;
@@ -227,16 +202,12 @@ class TpcSource final : public TraceSource {
   TpcSource(const MtParams& params, ThreadId thread);
   Record next() override;
 
-  void save(ckpt::Writer& w) const override {
-    saveRng(w, rng_);
-    saveCursorVec(w, scanCursors_);
-    w.i32(nextScan_);
+  template <class Ar> void io(Ar& ar) {
+    ioRng(ar, rng_);
+    ioCursorVec(ar, scanCursors_);
+    ar.i32Index(nextScan_, static_cast<std::int64_t>(scanCursors_.size()));
   }
-  void load(ckpt::Reader& r) override {
-    loadRng(r, rng_);
-    loadCursorVec(r, scanCursors_);
-    nextScan_ = r.i32();
-  }
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   Rng rng_;

@@ -60,24 +60,16 @@ class TraceFileSource final : public TraceSource {
   }
   std::int64_t wraps() const { return wraps_; }
 
-  void save(ckpt::Writer& w) const override {
-    w.u64(records_.size());  // cross-checked: same file must back the restore
-    w.u64(cursor_);
-    w.i64(wraps_);
-  }
-  void load(ckpt::Reader& r) override {
-    if (r.u64() != records_.size()) {
-      r.fail();
-      return;
+  template <class Ar> void io(Ar& ar) {
+    ar.u64Expect(records_.size());  // the same file must back the restore
+    ar.u64(cursor_);
+    if (cursor_ >= records_.size()) {
+      cursor_ = 0;
+      return ar.fail();
     }
-    const std::uint64_t cursor = r.u64();
-    if (cursor >= records_.size() && !records_.empty()) {
-      r.fail();
-      return;
-    }
-    cursor_ = static_cast<size_t>(cursor);
-    wraps_ = r.i64();
+    ar.i64(wraps_);
   }
+  MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   std::vector<Record> records_;  // traces of interest fit in memory

@@ -134,7 +134,7 @@ TEST(DiagJsonSchema, MbdetcheckSeededFixture) {
 TEST(DiagJsonSchema, MbsnapcheckSeededFixture) {
   const JVal root = parseToolOutput(
       std::string(MB_MBSNAPCHECK_BIN) + " --json " + MB_SOURCE_ROOT +
-      "/tests/analysis/snap_fixtures/mbsnp_001_missing_field.cpp");
+      "/tests/analysis/snap_fixtures/mbsnp_001_wire_op_in_load_branch.cpp");
   const JVal* diags = root.get("diagnostics");
   ASSERT_NE(diags, nullptr);
   EXPECT_GE(checkDiagnostics(*diags, "mbsnapcheck"), 1);

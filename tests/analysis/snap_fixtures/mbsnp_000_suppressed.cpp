@@ -1,4 +1,4 @@
-// Self-test fixture: a genuine MB-SNP-003 (mutated, never serialized)
+// Self-test fixture: a genuine MB-SNP-003 (mutated, never walked)
 // silenced by a same-line MB_SNAP_ALLOW with a reason — the suppression is
 // consumed, so no error and no MB-SNP-008 remain.
 // Never compiled — parsed by mbsnapcheck --self-test.
@@ -8,8 +8,8 @@ namespace fx {
 
 class LazyCache {
  public:
-  void save(ckpt::Writer& w) const { w.u64(epoch_); }
-  void load(ckpt::Reader& r) { epoch_ = r.u64(); }
+  template <class Ar> void io(Ar& ar) { ar.u64(epoch_); }
+  MB_SNAP_ENTRY_POINTS(, );
   void invalidate() { ++epoch_; cached_ = 0; }
 
  private:

@@ -1,6 +1,6 @@
 // Self-test fixture: MB-SNP-003 forgotten member. refreshCount_ is mutated
-// by the simulation (onRefresh) but appears in neither save() nor load()
-// and carries no MB_SNAP_TRANSIENT annotation.
+// by the simulation (onRefresh) but io() never walks it, and it carries no
+// MB_SNAP_TRANSIENT annotation.
 // Never compiled — parsed by mbsnapcheck --self-test.
 #include <cstdint>
 
@@ -8,8 +8,8 @@ namespace fx {
 
 class RefreshUnit {
  public:
-  void save(ckpt::Writer& w) const { w.u64(nextRefAt_); }
-  void load(ckpt::Reader& r) { nextRefAt_ = r.u64(); }
+  template <class Ar> void io(Ar& ar) { ar.u64(nextRefAt_); }
+  MB_SNAP_ENTRY_POINTS(, );
   void onRefresh(std::uint64_t tRefi) {
     ++refreshCount_;
     nextRefAt_ += tRefi;

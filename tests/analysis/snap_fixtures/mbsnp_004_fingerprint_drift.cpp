@@ -11,8 +11,8 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 
 class SnapDemo {
  public:
-  void save(ckpt::Writer& w) const { w.u64(ticks_); }
-  void load(ckpt::Reader& r) { ticks_ = r.u64(); }
+  template <class Ar> void io(Ar& ar) { ar.u64(ticks_); }
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   std::uint64_t ticks_ = 0;

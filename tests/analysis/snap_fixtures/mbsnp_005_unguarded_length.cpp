@@ -1,7 +1,7 @@
-// Self-test fixture: MB-SNP-005 unguarded length-carrying read. load()
-// sizes a loop from a raw r.u64() with no fail() validation — a corrupt
-// snapshot drives an unbounded allocation loop. The streams themselves are
-// symmetric, so only 005 fires.
+// Self-test fixture: MB-SNP-005 unguarded length-carrying read. io() sizes
+// the vector from a raw ar.u64() with no fail() validation — a corrupt
+// snapshot drives an unbounded allocation. Both directions still run the
+// same ops, so only 005 fires.
 // Never compiled — parsed by mbsnapcheck --self-test.
 #include <cstdint>
 #include <vector>
@@ -10,15 +10,13 @@ namespace fx {
 
 class SampleLog {
  public:
-  void save(ckpt::Writer& w) const {
-    w.u64(vals_.size());
-    for (std::uint32_t v : vals_) w.u32(v);
+  template <class Ar> void io(Ar& ar) {
+    std::uint64_t n = vals_.size();
+    ar.u64(n);
+    if constexpr (Ar::kLoading) vals_.resize(n);
+    for (std::uint32_t& v : vals_) ar.u32(v);
   }
-  void load(ckpt::Reader& r) {
-    vals_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) vals_.push_back(r.u32());
-  }
+  MB_SNAP_ENTRY_POINTS(, );
 
  private:
   std::vector<std::uint32_t> vals_;

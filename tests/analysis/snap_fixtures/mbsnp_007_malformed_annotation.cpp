@@ -8,8 +8,8 @@ namespace fx {
 
 class BadAnnot {
  public:
-  void save(ckpt::Writer& w) const { w.u64(a_); }
-  void load(ckpt::Reader& r) { a_ = r.u64(); }
+  template <class Ar> void io(Ar& ar) { ar.u64(a_); }
+  MB_SNAP_ENTRY_POINTS(, );
   void tick() { ++b_; }
 
  private:

@@ -96,14 +96,23 @@ TEST(Serialize, Fnv1a64IsStable) {
   EXPECT_NE(fnv1a64("ab"), fnv1a64("ba"));
 }
 
-TEST(Serialize, SaveMapSortedIsOrderIndependent) {
+TEST(Serialize, MapSortedIsOrderIndependentAndRoundTrips) {
   std::map<std::int64_t, int> ordered{{3, 30}, {1, 10}, {2, 20}};
   std::unordered_map<std::int64_t, int> hashed(ordered.begin(), ordered.end());
   Writer a;
-  saveMapSorted(a, ordered, [&](int v) { a.i32(v); });
+  SaveArchive sa(a);
+  sa.mapSorted(ordered, 12, [&](int& v) { sa.i32(v); });
   Writer b;
-  saveMapSorted(b, hashed, [&](int v) { b.i32(v); });
+  SaveArchive sb(b);
+  sb.mapSorted(hashed, 12, [&](int& v) { sb.i32(v); });
   EXPECT_EQ(a.str(), b.str());
+
+  Reader back(a.str());
+  LoadArchive la(back);
+  std::map<std::int64_t, int> loaded{{7, 70}};  // replaced, not merged
+  la.mapSorted(loaded, 12, [&](int& v) { la.i32(v); });
+  EXPECT_TRUE(back.atEnd());
+  EXPECT_EQ(loaded, ordered);
 
   Reader r(a.str());
   EXPECT_EQ(r.u64(), 3u);

@@ -2,7 +2,7 @@
 // back scheduler/controller/policy bookkeeping (MB-DET-001): iteration is
 // key-sorted by construction, so anything it feeds — reports, stats,
 // serialization — is byte-stable. These tests pin the std::map-subset API
-// the call sites and ckpt::saveMapSorted rely on.
+// the call sites and the archives' mapSorted walk rely on.
 #include "common/flat_map.hpp"
 
 #include <gtest/gtest.h>
