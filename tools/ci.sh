@@ -16,12 +16,11 @@
 set -euo pipefail
 
 # MB_REQUIRE_STATIC=1 is the umbrella switch for the source-level analysis
-# stages: it implies MB_REQUIRE_TIDY=1, MB_REQUIRE_DET=1 and
-# MB_REQUIRE_SNAP=1, turning every warn-only static check into a hard gate.
+# stages: it implies MB_REQUIRE_TIDY=1 and MB_REQUIRE_DET=1, turning every
+# warn-only static check into a hard gate (mbsnapcheck is always one).
 if [ "${MB_REQUIRE_STATIC:-0}" = "1" ]; then
   MB_REQUIRE_TIDY=1
   MB_REQUIRE_DET=1
-  MB_REQUIRE_SNAP=1
 fi
 # Per-stage verdicts for the consolidated summary printed at the end.
 static_mblint="not run"
@@ -98,21 +97,13 @@ else
 fi
 
 echo "== mbsnapcheck snapshot completeness =="
-# Same two-step contract as mbdetcheck: the seeded MB-SNP fixture corpus is
-# always fatal (it proves the analyzer fires), while the whole-tree scan —
-# stream symmetry, section names, completeness, and the fingerprint
-# baseline in tools/snap_baseline.txt — is warn-only unless
-# MB_REQUIRE_SNAP=1 (ctest's mbsnapcheck_tree_clean enforces it regardless).
+# Both steps are fatal: the seeded MB-SNP fixture corpus proves the analyzer
+# fires, and the whole-tree scan — direction-specific wire ops, walk
+# completeness, and the fingerprint baseline in tools/snap_baseline.txt —
+# must be clean, as ctest's mbsnapcheck_tree_clean already requires.
 "$build/tools/mbsnapcheck" --self-test="$repo/tests/analysis/snap_fixtures"
-if "$build/tools/mbsnapcheck" --root="$repo"; then
-  static_snap="pass"
-elif [ "${MB_REQUIRE_SNAP:-0}" = "1" ]; then
-  echo "FAIL: mbsnapcheck found snapshot-completeness violations and MB_REQUIRE_SNAP=1" >&2
-  exit 1
-else
-  static_snap="warn"
-  echo "mbsnapcheck reported findings (warn-only; set MB_REQUIRE_SNAP=1 to enforce)"
-fi
+"$build/tools/mbsnapcheck" --root="$repo"
+static_snap="pass"
 
 echo "== offline command-trace audit =="
 # Record a short run of every shipped preset (one trace per sweep point)
@@ -132,27 +123,37 @@ if "$build/tools/mbaudit" "$audit_dir/cmds.tsi-baseline.mbc" \
 fi
 rm -rf "$audit_dir"
 
-echo "== checkpoint/restore equivalence per preset =="
-# For every shipped preset: run cold, run again writing a mid-flight MBCKPT1
-# checkpoint, then restore from it — all three reports must be byte-identical
-# (the ASan build also shakes memory bugs out of the save/load paths). The
-# checkpoint tick is chosen inside the fast slice's runtime for every preset.
+echo "== checkpoint/restore equivalence =="
+# Run cold, run again writing a mid-flight MBCKPT1 checkpoint at tick $1,
+# then restore from it — all three reports must be byte-identical (the ASan
+# build also shakes memory bugs out of the io() walks). Every shipped preset
+# on 429.mcf, then the 64-core RADIX kernel, mix-high and a trace-file slice
+# recorded by mbtrace; each checkpoint tick lies inside its slice's runtime.
 ckpt_dir="$build/ci-ckpt"
 mkdir -p "$ckpt_dir"
-while read -r preset; do
-  "$build/tools/mbsim" --preset="$preset" --workload=429.mcf --instrs=10000 \
-    > "$ckpt_dir/cold.txt"
-  "$build/tools/mbsim" --preset="$preset" --workload=429.mcf --instrs=10000 \
-    --checkpoint-at=15000000 --checkpoint="$ckpt_dir/ck.mbk" \
-    > "$ckpt_dir/save.txt"
-  "$build/tools/mbsim" --preset="$preset" --workload=429.mcf --instrs=10000 \
-    --restore-from="$ckpt_dir/ck.mbk" > "$ckpt_dir/restore.txt"
+ckpt_equiv() {
+  local at="$1" label="$2"
+  shift 2
+  "$build/tools/mbsim" "$@" > "$ckpt_dir/cold.txt"
+  "$build/tools/mbsim" "$@" --checkpoint-at="$at" \
+    --checkpoint="$ckpt_dir/ck.mbk" > "$ckpt_dir/save.txt"
+  "$build/tools/mbsim" "$@" --restore-from="$ckpt_dir/ck.mbk" \
+    > "$ckpt_dir/restore.txt"
   cmp "$ckpt_dir/cold.txt" "$ckpt_dir/save.txt" || {
-    echo "FAIL: checkpointing perturbed the run for preset $preset" >&2; exit 1; }
+    echo "FAIL: checkpointing perturbed the run for $label" >&2; exit 1; }
   cmp "$ckpt_dir/cold.txt" "$ckpt_dir/restore.txt" || {
-    echo "FAIL: restore diverged from cold run for preset $preset" >&2; exit 1; }
-  echo "checkpoint/restore ok: $preset"
+    echo "FAIL: restore diverged from cold run for $label" >&2; exit 1; }
+  echo "checkpoint/restore ok: $label"
+}
+while read -r preset; do
+  ckpt_equiv 15000000 "$preset" --preset="$preset" --workload=429.mcf \
+    --instrs=10000
 done < <("$build/tools/mblint" --list-presets)
+ckpt_equiv 3000000 RADIX --workload=RADIX --instrs=3000
+ckpt_equiv 30000000 mix-high --workload=mix-high --instrs=3000
+"$build/tools/mbtrace" --app=429.mcf --out="$ckpt_dir/trace" --records=5000 \
+  --cores=4 > /dev/null
+ckpt_equiv 15000000 trace-file --workload="trace:$ckpt_dir/trace" --instrs=10000
 
 echo "== resumable sweep journal =="
 # A sweep interrupted after its first completed point and resumed must print
@@ -340,7 +341,7 @@ echo "== static-analysis summary =="
 printf '  %-14s %s\n' \
   "mblint"      "$static_mblint" \
   "mbdetcheck"  "$static_det   (enforce: MB_REQUIRE_DET=1)" \
-  "mbsnapcheck" "$static_snap   (enforce: MB_REQUIRE_SNAP=1)" \
+  "mbsnapcheck" "$static_snap   (always enforced)" \
   "clang-tidy"  "$static_tidy   (enforce: MB_REQUIRE_TIDY=1)"
 echo "  MB_REQUIRE_STATIC=1 enforces all of the above at once."
 
