@@ -47,12 +47,12 @@
 // completeness analysis"):
 //
 //   MB_SNAP_TRANSIENT(member_, "reason")
-//     Placed in a class that has a save(Writer&)/load(Reader&) pair:
-//     declares that the named data member is intentionally NOT serialized —
-//     it is scratch state, a cache rebuilt on load, or derived from
-//     serialized members. The reason is mandatory (MB-SNP-007 otherwise);
-//     an annotation naming a member that IS written by save() is reported
-//     as unused (MB-SNP-008) so stale declarations cannot linger.
+//     Placed in a class that has an io() walk: declares that the named
+//     data member is intentionally NOT serialized — it is scratch state, a
+//     cache rebuilt on load, or derived from serialized members. The reason
+//     is mandatory (MB-SNP-007 otherwise); an annotation naming a member
+//     the walk touches is reported as stale (MB-SNP-008) so outdated
+//     declarations cannot linger.
 //
 //   MB_SNAP_ALLOW(MB-SNP-0xx, "reason")
 //     Suppresses a snapshot finding on the same or the next source line,
