@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "ckpt/serialize.hpp"
+#include "snapshot_forge.hpp"
+
 namespace mb::mc {
 namespace {
 
@@ -159,6 +164,65 @@ TEST(ParBs, EmptyCandidatesReturnsMinusOne) {
   ParBsScheduler s;
   std::vector<Candidate> cands;
   EXPECT_EQ(s.pick(cands, 0), -1);
+}
+
+// ---- Hostile snapshots -----------------------------------------------------
+//
+// PAR-BS saves its batch as key-sorted (id -> thread) and (thread -> count)
+// lists ahead of the queue view, and load() resolves them into the view's
+// marked bits. A list the view contradicts must fail the load.
+
+constexpr std::uint64_t kMarkedId = 0xC0FFEE1234ull;
+
+/// One queued request of thread 3, marked by the batch its pick formed.
+std::string savedBatchOfOne() {
+  ParBsScheduler s;
+  s.onEnqueue(req(kMarkedId, 3, 10));
+  std::vector<Candidate> cands{cand(0, kMarkedId, 3, 10, 0, false)};
+  EXPECT_EQ(s.pick(cands, 100), 0);
+  EXPECT_TRUE(s.isMarked(kMarkedId));
+  ckpt::Writer w;
+  s.save(w);
+  return w.str();
+}
+
+bool loadsInto(ParBsScheduler& s, const std::string& bytes) {
+  ckpt::Reader r(bytes);
+  s.load(r);
+  return r.ok();
+}
+
+TEST(ParBs, RestoreRejectsAMarkedIdMissingFromTheQueueView) {
+  const std::string saved = savedBatchOfOne();
+  ParBsScheduler restored;
+  ASSERT_TRUE(loadsInto(restored, saved));
+  EXPECT_TRUE(restored.isMarked(kMarkedId));
+  EXPECT_FALSE(restored.wouldFormBatch());
+
+  std::string forged = saved;
+  // The id's first occurrence is the marked list's key; the view keeps it.
+  ASSERT_TRUE(forgeI32After(forged, kMarkedId, 0, 0x1234));
+  ParBsScheduler hostile;
+  EXPECT_FALSE(loadsInto(hostile, forged));
+}
+
+TEST(ParBs, RestoreRejectsAPerThreadCountTheMarksContradict) {
+  const std::string saved = savedBatchOfOne();
+  // After the marked entry (i64 id, i32 thread) comes the per-thread list:
+  // u64 entry count, then i64 thread and i32 marked count.
+  constexpr std::size_t kThreadAt = 8 + 4 + 8;
+  constexpr std::size_t kCountAt = kThreadAt + 8;
+  auto loadsForged = [&](std::size_t at, std::int32_t value) {
+    std::string bytes = saved;
+    EXPECT_TRUE(forgeI32After(bytes, kMarkedId, at, value));
+    ParBsScheduler s;
+    return loadsInto(s, bytes);
+  };
+  EXPECT_TRUE(loadsForged(kCountAt, 1));    // the honest count
+  EXPECT_TRUE(loadsForged(kThreadAt, 3));   // the honest thread
+  EXPECT_FALSE(loadsForged(kCountAt, 2));   // more marks than the view holds
+  EXPECT_FALSE(loadsForged(kCountAt, 0));
+  EXPECT_FALSE(loadsForged(kThreadAt, 4));  // a thread with no marked entry
 }
 
 TEST(SchedulerKindName, AllNamed) {
