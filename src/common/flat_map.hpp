@@ -1,22 +1,22 @@
 // Sorted-vector map with deterministic iteration order.
 //
-// The simulator's per-structure bookkeeping (PAR-BS batch marks, page-policy
-// counters, timing-checker shadow histories, ...) used to live in
-// std::unordered_map. Keyed lookups there are deterministic, but any
-// *iteration* observes hash-table order — a function of the libstdc++
-// version, the allocator, and (for pointer keys) ASLR — which is exactly the
-// kind of latent nondeterminism that would poison windowed simulation (one
-// event queue per channel, merged by (when, stamp)). FlatMap stores its entries
-// as a vector sorted by key, so iteration order is the key order by
-// construction: a walk over a FlatMap can feed reports, serialization, or
-// scheduling decisions without an extra sort, and mbdetcheck (MB-DET-001)
-// does not need to reason about whether a given loop is observable.
+// Some per-structure bookkeeping (page-policy counters, timing-checker
+// shadow histories) is walked in code that feeds decisions or output, and
+// a walk over a std::unordered_map observes hash-table order — a function
+// of the libstdc++ version, the allocator, and (for pointer keys) ASLR.
+// FlatMap stores its entries as a vector sorted by key, so iteration order
+// is the key order by construction: a walk over a FlatMap can feed reports,
+// serialization, or scheduling decisions without an extra sort, and
+// mbdetcheck (MB-DET-001) does not need to reason about whether a given
+// loop is observable.
 //
 // Shape: binary-searched sorted vector. O(log n) find, O(n) insert/erase
-// (memmove). The simulator's maps are small (tens of batch marks, one entry
-// per touched μbank) and lookup-dominated, where contiguous storage wins
-// against node- or bucket-based maps; for large erase-heavy sets prefer
-// std::map, which is equally deterministic.
+// (memmove). It suits small, lookup-dominated maps (one entry per touched
+// μbank or thread), where contiguous storage wins against node- or
+// bucket-based maps. A large or insert/erase-heavy map that is only ever
+// used by key — the hierarchy's directory and pending fills — belongs in a
+// std::unordered_map instead, as long as its one walk is the archives'
+// mapSorted, which sorts the keys itself.
 //
 // The interface is the subset of std::map the call sites use: find/count/
 // at/operator[]/emplace/erase/clear/size/empty plus sorted begin()/end().

@@ -18,12 +18,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "ckpt/restore.hpp"
 #include "ckpt/serialize.hpp"
 #include "common/event_queue.hpp"
-#include "common/flat_map.hpp"
 #include "common/ownership.hpp"
 #include "common/shard_mailbox.hpp"
 #include "common/stats.hpp"
@@ -231,13 +231,14 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
 
   std::vector<std::unique_ptr<Cache>> l1s_;  // per core
   std::vector<std::unique_ptr<Cache>> l2s_;  // per cluster
-  // Ordered (not hashed) like transits_ below: the directory can grow to
-  // one entry per resident line, and a hash walk anywhere near it must
-  // never be able to leak into reports or serialization (MB-DET-001).
-  std::map<std::uint64_t, DirEntry> directory_;
-  // Pending DRAM fills keyed by (cluster, lineAddr); bounded by the
-  // outstanding-miss window, so sorted flat storage is cheap.
-  FlatMap<std::uint64_t, PendingFill> pending_;
+  // The directory (one entry per line cached anywhere) and the pending
+  // DRAM fills keyed by (cluster, lineAddr) are hashed: the hot path does
+  // only keyed find/insert/erase, once or twice per miss and fill. Nothing
+  // iterates them except the io() walk, whose mapSorted writes entries in
+  // ascending key order, so hash order never reaches a report or a
+  // snapshot (MB-DET-001).
+  std::unordered_map<std::uint64_t, DirEntry> directory_;
+  std::unordered_map<std::uint64_t, PendingFill> pending_;
 
   struct StreamEntry {
     std::uint64_t lastLine = 0;
