@@ -3,7 +3,9 @@
 // Runs every shipped preset for a fixed instruction slice and reports how
 // fast the ENGINE executes: wall seconds, dispatched events/sec, simulated
 // core-cycles/sec, and RSS, per preset and in aggregate, as both a stdout
-// table and a machine-readable BENCH_PERF.json (format MBPERF1). Per-preset
+// table and a machine-readable BENCH_PERF.json (format MBPERF1). The JSON
+// also carries each preset's deterministic MC arbitration counters (passes,
+// candidates evaluated, pre-block queue visits). Per-preset
 // `peakRssKiB` is the DELTA of the process peak-RSS high-water mark across
 // that preset's runs (not the inherited absolute peak); the totals block
 // carries the process-wide peak. See bench/perf_report.hpp.
@@ -122,6 +124,9 @@ PresetPerf measure(const sim::NamedConfig& preset, const Options& o) {
     if (rep == 0 || wall < bestWall) {
       bestWall = wall;
       p.events = r.eventsProcessed;
+      p.arbPasses = r.mcArbPasses;
+      p.candidatesEvaluated = r.mcCandidatesEvaluated;
+      p.preBlockVisits = r.mcPreBlockVisits;
       const double simCycles =
           static_cast<double>(r.elapsed) / static_cast<double>(cfg.core.cyclePs);
       p.simulatedCyclesPerSec = wall > 0.0 ? simCycles / wall : 0.0;

@@ -30,6 +30,11 @@ struct PresetPerf {
   double eventsPerSec = 0.0;
   double simulatedCyclesPerSec = 0.0;
   long peakRssKiB = 0;  // delta of the process high-water mark (see header)
+  // Memory-controller arbitration work of one run (sim::RunResult::mcArbPasses
+  // and the two after it); deterministic, so any repeat gives the same.
+  std::int64_t arbPasses = 0;
+  std::int64_t candidatesEvaluated = 0;
+  std::int64_t preBlockVisits = 0;
 };
 
 struct ReportMeta {
@@ -107,7 +112,10 @@ inline std::string perfJson(const std::vector<PresetPerf>& perfs,
         << ",\"events\":" << p.events
         << ",\"eventsPerSec\":" << fmtG(p.eventsPerSec)
         << ",\"simulatedCyclesPerSec\":" << fmtG(p.simulatedCyclesPerSec)
-        << ",\"peakRssKiB\":" << p.peakRssKiB << '}';
+        << ",\"peakRssKiB\":" << p.peakRssKiB
+        << ",\"arbPasses\":" << p.arbPasses
+        << ",\"candidatesEvaluated\":" << p.candidatesEvaluated
+        << ",\"preBlockVisits\":" << p.preBlockVisits << '}';
   }
   out << ']';
   if (serve != nullptr) {

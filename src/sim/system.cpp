@@ -632,6 +632,9 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
     r.dramReads += s.reads;
     r.dramWrites += s.writes;
     r.activations += s.activations;
+    r.mcArbPasses += s.arbPasses;
+    r.mcCandidatesEvaluated += s.candidatesEvaluated;
+    r.mcPreBlockVisits += s.preBlockVisits;
   }
   r.rowHitRate = rowTotal == 0 ? 0.0
                                : static_cast<double>(rowHits) / static_cast<double>(rowTotal);

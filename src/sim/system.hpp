@@ -111,10 +111,15 @@ struct RunResult {
   std::vector<double> coreIpc;
 
   // Host-side observability (mbperf): events the queue dispatched during
-  // this run. Deliberately NOT part of the canonical JSON report — it
-  // measures the engine, not the simulated machine, and the golden-identity
-  // corpus hashes the report.
+  // this run, and the memory controllers' arbitration work summed over
+  // channels (mc::ControllerStats::arbPasses and the two after it).
+  // Deliberately NOT part of the canonical JSON report — they measure the
+  // host's work, not the simulated machine, and the golden-identity corpus
+  // hashes the report.
   std::uint64_t eventsProcessed = 0;
+  std::int64_t mcArbPasses = 0;
+  std::int64_t mcCandidatesEvaluated = 0;
+  std::int64_t mcPreBlockVisits = 0;
 };
 
 /// Derive the DRAM geometry a SystemConfig implies.

@@ -49,6 +49,9 @@ PresetPerf samplePerf(std::string name) {
   p.eventsPerSec = 36000.0;
   p.simulatedCyclesPerSec = 1.5e6;
   p.peakRssKiB = 2048;
+  p.arbPasses = 700;
+  p.candidatesEvaluated = 9100;
+  p.preBlockVisits = 9300;
   return p;
 }
 
@@ -80,6 +83,8 @@ TEST(PerfReportTest, RecordShapeCarriesAllFields) {
         "\"instrs\":10000", "\"repeat\":3", "\"preset\":\"p\"",
         "\"wallSeconds\":", "\"events\":4500", "\"eventsPerSec\":",
         "\"simulatedCyclesPerSec\":", "\"peakRssKiB\":2048",
+        "\"arbPasses\":700", "\"candidatesEvaluated\":9100",
+        "\"preBlockVisits\":9300",
         "\"totals\":", "\"peakRssKiB\":81920"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing:\n" << json;
   }

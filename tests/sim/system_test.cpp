@@ -109,6 +109,29 @@ TEST(RunSimulation, MultithreadedRuns) {
   EXPECT_EQ(r.workload, "FFT");
 }
 
+// The memory controllers' arbitration counters are deterministic host work
+// kept out of the report. The open-row-user pre-pass visits each served
+// queue entry once per pass, so its visits never outgrow the two queues'
+// capacity per pass, however many precharge candidates a pass holds (a
+// per-candidate queue scan is quadratic and breaks this bound on RADIX).
+TEST(RunSimulation, ArbitrationPrePassVisitsEachQueueEntryOncePerPass) {
+  SystemConfig cfg;
+  cfg.core.maxInstrs = 4000;
+  const auto r = runSimulation(cfg, WorkloadSpec::mt(trace::MtKind::Radix));
+  ASSERT_GT(r.mcArbPasses, 0);
+  const std::int64_t perPass = cfg.queueDepth + mc::ControllerConfig{}.writeQueueDepth;
+  EXPECT_LE(r.mcPreBlockVisits, r.mcArbPasses * perPass);
+  EXPECT_LE(r.mcCandidatesEvaluated, r.mcArbPasses * perPass);
+  EXPECT_GT(r.mcPreBlockVisits, 0);
+
+  const auto again = runSimulation(cfg, WorkloadSpec::mt(trace::MtKind::Radix));
+  EXPECT_EQ(again.mcArbPasses, r.mcArbPasses);
+  EXPECT_EQ(again.mcCandidatesEvaluated, r.mcCandidatesEvaluated);
+  EXPECT_EQ(again.mcPreBlockVisits, r.mcPreBlockVisits);
+  const std::string report = runResultToJson(r);
+  EXPECT_EQ(report.find(std::to_string(r.mcPreBlockVisits)), std::string::npos);
+}
+
 TEST(RunSimulation, EnergyBreakdownCategoriesAllPresent) {
   const auto r = runSimulation(fastConfig(), WorkloadSpec::spec("470.lbm"));
   EXPECT_GT(r.energy.processor, 0.0);
