@@ -1,6 +1,7 @@
 #include "mc/controller.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/check.hpp"
 
@@ -22,6 +23,7 @@ MemoryController::MemoryController(ChannelId id, const dram::Geometry& geom,
       policy_(core::makePagePolicy(config.pagePolicy)) {
   speculations_.resize(static_cast<std::size_t>(channel_.ubankCount()));
   rowUsers_.resize(static_cast<std::size_t>(channel_.ubankCount()));
+  ubDirty_.assign(static_cast<std::size_t>(channel_.ubankCount()), 0);
   channel_.refreshEnabled = cfg_.refreshEnabled;
   channel_.perBankRefresh = cfg_.perBankRefresh;
   if (cfg_.enableTimingCheck) {
@@ -66,6 +68,7 @@ void MemoryController::enqueue(MemRequest req) {
   if (channel_.resolveLazy(req.da, ub) == ChannelState::LazyOutcome::Closed) {
     if (checker_) checker_->onOraclePre(req.da);
     if (cfg_.commandLog) cfg_.commandLog->onOraclePre(req.da, eq_.now());
+    markDirty(ub);
     mutated = true;
   }
 
@@ -74,15 +77,16 @@ void MemoryController::enqueue(MemRequest req) {
   if (req.write) {
     writes_.inc();
     // Coalesce with an already-buffered write to the same line.
-    for (const ReqHandle h : writeQ_) {
-      if (pool_.ref(h).req.addr == req.addr) return;
+    for (const Record& w : writeQ_) {
+      if (pool_.ref(w.h).req.addr == req.addr) return;
     }
     Pending p;
     p.req = std::move(req);
     p.flat = flat;
     p.ub = ub;
     admitted = pool_.alloc(std::move(p));
-    writeQ_.push_back(admitted);
+    writeQ_.push_back(makeRecord(admitted));
+    markDirty(ub);
     inWindow = true;
     if (static_cast<int>(writeQ_.size()) >= cfg_.writeHighWatermark)
       drainingWrites_ = true;  // serve-flag flip: caught by the compare below
@@ -90,8 +94,8 @@ void MemoryController::enqueue(MemRequest req) {
     reads_.inc();
     // Forward from a buffered write to the same line: the data is newer
     // than DRAM and available immediately after a queue lookup.
-    for (const ReqHandle h : writeQ_) {
-      if (pool_.ref(h).req.addr == req.addr) {
+    for (const Record& w : writeQ_) {
+      if (pool_.ref(w.h).req.addr == req.addr) {
         forwarded_.inc();
         if (req.onComplete) {
           const Tick done = eq_.now() + channel_.timing().tCMD;
@@ -107,7 +111,8 @@ void MemoryController::enqueue(MemRequest req) {
     admitted = pool_.alloc(std::move(p));
     if (static_cast<int>(readQ_.size()) < cfg_.queueDepth) {
       scheduler_->onEnqueue(pool_.get(admitted).req);
-      readQ_.push_back(admitted);
+      readQ_.push_back(makeRecord(admitted));
+      markDirty(ub);
       inWindow = true;
     } else {
       overflowQ_.push_back(admitted);
@@ -125,21 +130,22 @@ void MemoryController::enqueue(MemRequest req) {
   // form a new priority batch, a second full pass over the queue would
   // reach the exact same conclusions as the previous one — except for the
   // one new candidate. Its earliest issue tick is the only new information,
-  // so fold it into the armed wake-up and skip the O(queue) rescan. With
-  // the command bus busy (every earliest* is lower-bounded by the bus-free
-  // tick) the new candidate cannot issue now, so deferring it to the woken
-  // kick is behaviour-identical to the full pass.
+  // so fold it into the armed wake-up and skip the pass. With the command
+  // bus busy (every earliest* is lower-bounded by the bus-free tick) the
+  // new candidate cannot issue now, so deferring it to the woken kick is
+  // behaviour-identical to the full pass.
   if (!mutated && lastKickTick_ == eq_.now() && !scheduler_->wouldFormBatch()) {
     const bool candidate = isWrite ? nowWrites : (inWindow && nowReads);
     if (!candidate) return;  // invisible to arbitration: the armed wake stands
     if (channel_.cmdBusFreeAt() > eq_.now()) {
-      // The open-row-user table is still the one the earlier kick built:
-      // requests admitted since then arrived now, so none is strictly older
-      // than this one.
-      const int queueIndex = isWrite ? -1 : static_cast<int>(readQ_.size()) - 1;
-      DramCommand cmd{};
-      const Tick e = earliestFor(pool_.get(admitted), queueIndex, eq_.now(), cmd);
-      if (e != kTickNever) {
+      // Refreshing now does the work the next pass would: only admissions
+      // happened since the last pass, so the records it computes are the
+      // ones the next pass would compute.
+      refreshRecords(nowReads, nowWrites);
+      const Record& r = isWrite ? writeQ_.back() : readQ_.back();
+      if (r.term != kTickNever) {
+        channel_.commandFloors(eq_.now(), floors_);
+        const Tick e = earliestOf(r);
         MB_DCHECK(e > eq_.now());  // bus busy lower-bounds every earliest*
         scheduleKick(e);
       }
@@ -162,118 +168,156 @@ void MemoryController::resolveSpeculation(std::int64_t flat, int ub,
   --liveSpeculations_;
 }
 
-void MemoryController::indexOpenRowUsers(bool servingReads, bool servingWrites) {
-  ++rowUsersPass_;
-  auto note = [&](const Pending& q, int queueIndex) {
-    ++preBlockVisits_;
-    if (channel_.openRow(q.ub) != q.req.da.row) return;
-    RowUsers& u = rowUsers_[static_cast<std::size_t>(q.ub)];
-    if (u.pass != rowUsersPass_) u = RowUsers{rowUsersPass_, kTickNever, kTickNever};
-    u.oldest = std::min(u.oldest, q.req.arrival);
-    if (queueIndex >= 0 && scheduler_->requestMarked(queueIndex))
-      u.oldestMarked = std::min(u.oldestMarked, q.req.arrival);
-  };
-  if (servingReads) {
-    for (std::size_t i = 0; i < readQ_.size(); ++i)
-      note(pool_.ref(readQ_[i]), static_cast<int>(i));
+MemoryController::Record MemoryController::makeRecord(ReqHandle h) const {
+  const Pending& p = pool_.ref(h);
+  Record r;
+  r.h = h;
+  r.id = p.req.id;
+  r.arrival = p.req.arrival;
+  r.row = p.req.da.row;
+  r.ub = p.ub;
+  r.rank = p.req.da.rank;
+  r.thread = p.req.thread;
+  r.write = p.req.write;
+  return r;
+}
+
+template <class F>
+void MemoryController::forEachServed(bool reads, bool writes, F&& f) {
+  if (reads) {
+    for (std::size_t i = 0; i < readQ_.size(); ++i) f(readQ_[i], static_cast<int>(i));
   }
-  if (servingWrites) {
-    for (const ReqHandle h : writeQ_) note(pool_.ref(h), -1);
+  if (writes) {
+    for (std::size_t i = 0; i < writeQ_.size(); ++i) f(writeQ_[i], ~static_cast<int>(i));
   }
 }
 
-bool MemoryController::preBlockedByOlderRowUser(const Pending& p, int queueIndex) const {
+void MemoryController::refreshRecords(bool servingReads, bool servingWrites) {
+  if (servingReads != servedReads_ || servingWrites != servedWrites_) {
+    servedReads_ = servingReads;
+    servedWrites_ = servingWrites;
+    markAllDirty();
+  }
+  if (!allDirty_ && dirtyUbs_.empty()) return;
+  // First sweep: each dirty record's next command and μbank term, and the
+  // open-row users (requests whose next command is a CAS) of each dirty
+  // μbank. Dirt is per μbank, so every user of a dirty μbank is swept.
+  ++rowUsersPass_;
+  bool anyPre = false;
+  forEachServed(servingReads, servingWrites, [&](Record& r, int pos) {
+    if (!dirty(r.ub)) return;
+    ++candidateRefreshes_;
+    const std::int64_t open = channel_.openRow(r.ub);
+    if (open == r.row) {  // rows are non-negative, so this means open
+      r.next = r.write ? DramCommand::Write : DramCommand::Read;
+      RowUsers& u = rowUsers_[static_cast<std::size_t>(r.ub)];
+      if (u.pass != rowUsersPass_) u = RowUsers{rowUsersPass_, kTickNever, kTickNever};
+      u.oldest = std::min(u.oldest, r.arrival);
+      if (pos >= 0 && scheduler_->requestMarked(pos))
+        u.oldestMarked = std::min(u.oldestMarked, r.arrival);
+    } else {
+      r.next = open < 0 ? DramCommand::Act : DramCommand::Pre;
+      anyPre = anyPre || open >= 0;
+    }
+    r.term = channel_.ubankTerm(r.next, r.ub);
+  });
+  // Second sweep: hold back precharges that would steal an older user's row.
+  if (anyPre) {
+    forEachServed(servingReads, servingWrites, [&](Record& r, int pos) {
+      if (r.next != DramCommand::Pre || !dirty(r.ub)) return;
+      ++preBlockVisits_;
+      if (preBlockedByOlderRowUser(r, pos)) r.term = kTickNever;
+    });
+  }
+  for (const int ub : dirtyUbs_) ubDirty_[static_cast<std::size_t>(ub)] = 0;
+  dirtyUbs_.clear();
+  allDirty_ = false;
+}
+
+bool MemoryController::preBlockedByOlderRowUser(const Record& r, int pos) const {
   // Do not steal an open row from an older request that still wants it —
   // but only if that request is itself schedulable right now (it then
   // outranks this precharge in every scheduler, so deferring cannot
   // livelock). An older row-user that is not currently a candidate (write
   // outside a drain burst) must not block progress indefinitely; the table
   // only holds served requests.
-  const RowUsers& u = rowUsers_[static_cast<std::size_t>(p.ub)];
-  if (u.pass != rowUsersPass_ || u.oldest >= p.req.arrival) return false;
+  const RowUsers& u = rowUsers_[static_cast<std::size_t>(r.ub)];
+  if (u.pass != rowUsersPass_ || u.oldest >= r.arrival) return false;
   // A batch-marked request outranks unmarked row users regardless of age
   // (PAR-BS fairness: the batch boundary must bound a row hog's damage).
-  const bool pMarked = queueIndex >= 0 && scheduler_->requestMarked(queueIndex);
-  return !pMarked || u.oldestMarked < p.req.arrival;
+  const bool marked = pos >= 0 && scheduler_->requestMarked(pos);
+  return !marked || u.oldestMarked < r.arrival;
 }
+
+#ifndef NDEBUG
+void MemoryController::checkRecords(bool servingReads, bool servingWrites, Tick now) {
+  // Reference open-row users, from scratch over the served queues.
+  std::unordered_map<int, RowUsers> users;
+  forEachServed(servingReads, servingWrites, [&](Record& r, int pos) {
+    const Pending& p = pool_.ref(r.h);
+    MB_CHECK(r.id == p.req.id && r.arrival == p.req.arrival && r.row == p.req.da.row &&
+             r.ub == p.ub && r.rank == p.req.da.rank && r.thread == p.req.thread &&
+             r.write == p.req.write);
+    if (channel_.openRow(r.ub) != r.row) return;
+    RowUsers& u = users[r.ub];
+    u.oldest = std::min(u.oldest, r.arrival);
+    if (pos >= 0 && scheduler_->requestMarked(pos))
+      u.oldestMarked = std::min(u.oldestMarked, r.arrival);
+  });
+  forEachServed(servingReads, servingWrites, [&](Record& r, int pos) {
+    const std::int64_t open = channel_.openRow(r.ub);
+    const DramCommand next = open == r.row ? (r.write ? DramCommand::Write : DramCommand::Read)
+                             : open < 0    ? DramCommand::Act
+                                           : DramCommand::Pre;
+    MB_CHECK(r.next == next);
+    bool blocked = false;
+    const auto u = users.find(r.ub);
+    if (next == DramCommand::Pre && u != users.end() && u->second.oldest < r.arrival) {
+      const bool marked = pos >= 0 && scheduler_->requestMarked(pos);
+      blocked = !marked || u->second.oldestMarked < r.arrival;
+    }
+    MB_CHECK(blocked == (r.term == kTickNever));
+    if (!blocked)
+      MB_CHECK(earliestOf(r) == channel_.earliest(next, pool_.ref(r.h).req.da, r.ub, now));
+  });
+}
+#endif
 
 void MemoryController::serveFlags(bool& reads, bool& writes) const {
   writes = drainingWrites_ || (readQ_.empty() && !writeQ_.empty());
   reads = !drainingWrites_ || readQ_.empty();
 }
 
-Tick MemoryController::earliestFor(const Pending& p, int queueIndex, Tick now,
-                                   DramCommand& cmdOut) const {
-  const int ub = p.ub;
-  const std::int64_t openRow = channel_.openRow(ub);
-  if (openRow == p.req.da.row) {  // rows are non-negative, so this means open
-    cmdOut = p.req.write ? DramCommand::Write : DramCommand::Read;
-    return channel_.earliestCas(p.req.da, ub, p.req.write, now);
-  }
-  if (openRow < 0) {
-    cmdOut = DramCommand::Act;
-    return channel_.earliestAct(p.req.da, ub, now);
-  }
-  cmdOut = DramCommand::Pre;
-  if (preBlockedByOlderRowUser(p, queueIndex)) return kTickNever;
-  return channel_.earliestPre(p.req.da, ub, now);
+void MemoryController::formBatchIfDue() {
+  if (!scheduler_->formBatchIfDue()) return;
+  ++batchFormations_;
+  markAllDirty();
 }
 
-void MemoryController::buildCandidates(Tick now, std::vector<Candidate>& cands,
-                                       std::vector<ReqHandle>& byCandidate,
-                                       Tick& minFuture) {
-  cands.clear();
-  byCandidate.clear();
-  bool serveReads = false, serveWrites = false;
-  serveFlags(serveReads, serveWrites);
-  ++arbPasses_;
-  indexOpenRowUsers(serveReads, serveWrites);
-  auto add = [&](ReqHandle h, int queueIndex) {
-    ++candidatesEvaluated_;
-    const Pending& p = pool_.ref(h);
-    DramCommand cmd{};
-    const Tick earliest = earliestFor(p, queueIndex, now, cmd);
-    if (earliest == kTickNever) return;
-    Candidate c;
-    c.queueIndex = queueIndex;
-    c.id = p.req.id;
-    c.thread = p.req.thread;
-    c.arrival = p.req.arrival;
-    c.earliestIssue = earliest;
-    c.rowHit = (cmd == DramCommand::Read || cmd == DramCommand::Write);
-    cands.push_back(c);
-    byCandidate.push_back(h);
-    if (earliest > now) minFuture = std::min(minFuture, earliest);
-  };
-  if (serveReads) {
-    for (std::size_t i = 0; i < readQ_.size(); ++i) add(readQ_[i], static_cast<int>(i));
-  }
-  if (serveWrites) {
-    for (const ReqHandle h : writeQ_) add(h, -1);
-  }
-}
-
-void MemoryController::issueFor(ReqHandle h, int queueIndex, Tick now) {
-  Pending& p = pool_.get(h);
-  DramCommand cmd{};
-  const Tick earliest = earliestFor(p, queueIndex, now, cmd);
+void MemoryController::issueFor(int pos, Tick now) {
+  const Record& r = recordAt(pos);
+  const DramCommand cmd = r.next;
+  const int ub = r.ub;
+  Pending& p = pool_.get(r.h);
+  const Tick earliest = channel_.earliest(cmd, p.req.da, ub, now);
   MB_CHECK_MSG(earliest <= now,
                "scheduler committed %s for %s before it is legal: earliest=%lldps "
                "now=%lldps",
                commandName(cmd), p.req.da.toString().c_str(),
                static_cast<long long>(earliest), static_cast<long long>(now));
   if (commandTrace) commandTrace(cmd, p.req.da, now);
+  markDirty(ub);
   switch (cmd) {
     case DramCommand::Pre: {
       p.sawConflict = true;
-      channel_.commitPre(p.req.da, now);
+      channel_.commitPre(p.req.da, ub, now);
       if (checker_) checker_->onCommand(DramCommand::Pre, p.req.da, now);
       if (cfg_.commandLog) cfg_.commandLog->onCommand(DramCommand::Pre, p.req.da, now, -1, -1);
       break;
     }
     case DramCommand::Act: {
       p.sawAct = true;
-      channel_.commitAct(p.req.da, now);
+      channel_.commitAct(p.req.da, ub, now);
       meter_.onActivate(geom_.ubankRowBytes());
       if (checker_) checker_->onCommand(DramCommand::Act, p.req.da, now);
       if (cfg_.commandLog) cfg_.commandLog->onCommand(DramCommand::Act, p.req.da, now, -1, -1);
@@ -281,13 +325,13 @@ void MemoryController::issueFor(ReqHandle h, int queueIndex, Tick now) {
     }
     case DramCommand::Read:
     case DramCommand::Write: {
-      const Tick dataEnd = channel_.commitCas(p.req.da, p.req.write, now);
+      const Tick dataEnd = channel_.commitCas(p.req.da, ub, p.req.write, now);
       meter_.onCas(geom_.lineBytes, geom_.ubanksPerBank());
       if (checker_) checker_->onCommand(cmd, p.req.da, now);
       if (cfg_.commandLog)
         cfg_.commandLog->onCommand(cmd, p.req.da, now, now + channel_.timing().tAA,
                                    dataEnd);
-      onRequestServiced(h, dataEnd);  // frees the arena slot; p is dead here
+      onRequestServiced(pos, dataEnd);  // frees the arena slot; p is dead here
       break;
     }
     case DramCommand::Refresh:
@@ -295,7 +339,8 @@ void MemoryController::issueFor(ReqHandle h, int queueIndex, Tick now) {
   }
 }
 
-void MemoryController::onRequestServiced(ReqHandle h, Tick dataEnd) {
+void MemoryController::onRequestServiced(int pos, Tick dataEnd) {
+  const ReqHandle h = recordAt(pos).h;
   Pending& p = pool_.get(h);
   const std::int64_t flat = p.flat;
   // Row-locality classification for this request.
@@ -320,26 +365,17 @@ void MemoryController::onRequestServiced(ReqHandle h, Tick dataEnd) {
   const core::DramAddress da = p.req.da;
   const int ub = p.ub;
 
-  // Remove from its queue, then release the slot; the handle (and every
-  // copy of it in scratch buffers) is stale from here on.
-  auto eraseFrom = [&](std::vector<ReqHandle>& q) {
-    for (size_t i = 0; i < q.size(); ++i) {
-      if (q[i] == h) {
-        scheduler_->onDequeue(p.req);
-        q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-        return true;
-      }
-    }
-    return false;
-  };
-  if (!eraseFrom(readQ_)) {
-    const bool erased = eraseFrom(writeQ_);
-    MB_CHECK_MSG(erased, "serviced request %llu (%s) found in neither queue",
-                 static_cast<unsigned long long>(p.req.id),
-                 p.req.da.toString().c_str());
+  // Remove from its queue, then release the slot; the handle is stale
+  // from here on.
+  if (pos >= 0) {
+    scheduler_->onDequeue(p.req);
+    readQ_.erase(readQ_.begin() + pos);
+  } else {
+    writeQ_.erase(writeQ_.begin() + ~pos);
     if (static_cast<int>(writeQ_.size()) <= cfg_.writeLowWatermark)
       drainingWrites_ = false;
   }
+  markDirty(ub);
   pool_.free(h);
   refillVisibleWindow();
   queueOcc_.update(eq_.now(), static_cast<double>(readQ_.size() + overflowQ_.size()));
@@ -347,13 +383,12 @@ void MemoryController::onRequestServiced(ReqHandle h, Tick dataEnd) {
   // Page management: if no queued work remains for this μbank, make a
   // speculative decision; otherwise the queue itself dictates the action
   // (the conventional controllers of §V inspect pending requests).
-  auto anySameUbank = [&](const auto& q) {
-    for (const ReqHandle h : q)
-      if (pool_.ref(h).flat == flat) return true;
-    return false;
-  };
+  auto onUbank = [ub](const Record& r) { return r.ub == ub; };
   const bool pendingSameUbank =
-      anySameUbank(readQ_) || anySameUbank(overflowQ_) || anySameUbank(writeQ_);
+      std::any_of(readQ_.begin(), readQ_.end(), onUbank) ||
+      std::any_of(overflowQ_.begin(), overflowQ_.end(),
+                  [&](ReqHandle o) { return pool_.ref(o).ub == ub; }) ||
+      std::any_of(writeQ_.begin(), writeQ_.end(), onUbank);
   if (!pendingSameUbank) maybeSpeculate(da, flat, ub, thread);
 }
 
@@ -387,7 +422,8 @@ void MemoryController::refillVisibleWindow() {
     const ReqHandle h = overflowQ_.front();
     overflowQ_.pop_front();
     scheduler_->onEnqueue(pool_.get(h).req);
-    readQ_.push_back(h);
+    readQ_.push_back(makeRecord(h));
+    markDirty(readQ_.back().ub);
   }
 }
 
@@ -488,78 +524,119 @@ void MemoryController::fireCompletion(int slot, std::uint64_t token) {
 void MemoryController::kick() {
   const Tick now = eq_.now();
   lastKickTick_ = now;
-  channel_.maybeRefresh(now, [this, now](int rank, int bank) {
-    meter_.onRefresh(bank < 0 ? 1.0 : 1.0 / geom_.banksPerRank);
-    if (checker_) checker_->onRankRefresh(id_, rank, bank);
-    if (cfg_.commandLog) cfg_.commandLog->onRefresh(id_, rank, bank, now);
-  });
+  ++kicks_;
+  // A refresh closes rows and raises activation bounds across a rank or a
+  // bank; dirtying everything keeps that rare case simple.
+  if (channel_.nextRefreshDue() <= now &&
+      channel_.maybeRefresh(now, [this, now](int rank, int bank) {
+        meter_.onRefresh(bank < 0 ? 1.0 : 1.0 / geom_.banksPerRank);
+        if (checker_) checker_->onRankRefresh(id_, rank, bank);
+        if (cfg_.commandLog) cfg_.commandLog->onRefresh(id_, rank, bank, now);
+      }))
+    markAllDirty();
 
   for (;;) {
+    ++arbPasses_;
+    bool reads = false, writes = false;
+    serveFlags(reads, writes);
+    refreshRecords(reads, writes);
+    channel_.commandFloors(now, floors_);
+#ifndef NDEBUG
+    checkRecords(reads, writes, now);
+#endif
     Tick minFuture = kTickNever;
-    buildCandidates(eq_.now(), candBuf_, byCandidateBuf_, minFuture);
+    if (channel_.cmdBusFreeAt() > now) {
+      // Wake-only pass: every earliest* is at or after the bus-free tick,
+      // so nothing can issue and the pass only needs the wake tick. The
+      // batch still forms at the point a pick would have formed it.
+      ++wakeOnlyPasses_;
+      forEachServed(reads, writes, [&](const Record& r, int) {
+        ++candidatesEvaluated_;
+        if (r.term != kTickNever) minFuture = std::min(minFuture, earliestOf(r));
+      });
+      MB_DCHECK(minFuture > now);
+      formBatchIfDue();
+    } else {
+      candBuf_.clear();
+      candPos_.clear();
+      forEachServed(reads, writes, [&](const Record& r, int pos) {
+        ++candidatesEvaluated_;
+        if (r.term == kTickNever) return;
+        Candidate c;
+        c.queueIndex = pos >= 0 ? pos : -1;
+        c.id = r.id;
+        c.thread = r.thread;
+        c.arrival = r.arrival;
+        c.earliestIssue = earliestOf(r);
+        c.rowHit = r.next == DramCommand::Read || r.next == DramCommand::Write;
+        candBuf_.push_back(c);
+        candPos_.push_back(pos);
+        if (c.earliestIssue > now) minFuture = std::min(minFuture, c.earliestIssue);
+      });
+      formBatchIfDue();
 
-    // One fused scan yields both the issuable winner and the scheduler's
-    // overall favourite (the priority-gate probe that used to cost a second
-    // full pick() pass).
-    const Scheduler::PickPair pp = scheduler_->pickPair(candBuf_, eq_.now());
-    const int pickIdx = pp.issuable;
-    if (pickIdx >= 0) {
-      // Priority gate: if the scheduler's overall favourite (ignoring issue
-      // readiness) is a different, imminently-ready command, hold the bus
-      // for it. Without this, a stream of back-to-back row hits can starve
-      // a higher-priority precharge forever: every hit CAS pushes the
-      // victim's tRTP window just past "now" again (priority inversion).
-      const int bestIdx = pp.overall;
-      if (bestIdx >= 0 && bestIdx != pickIdx) {
-        const Tick bestAt = candBuf_[static_cast<size_t>(bestIdx)].earliestIssue;
-        if (bestAt > eq_.now() &&
-            bestAt - eq_.now() <= 2 * channel_.timing().tCCD) {
-          scheduleKick(bestAt);
-          break;
+      // One fused scan yields both the issuable winner and the scheduler's
+      // overall favourite (the priority-gate probe that used to cost a
+      // second full pick() pass).
+      const Scheduler::PickPair pp = scheduler_->pickPair(candBuf_, now);
+      const int pickIdx = pp.issuable;
+      if (pickIdx >= 0) {
+        // Priority gate: if the scheduler's overall favourite (ignoring
+        // issue readiness) is a different, imminently-ready command, hold
+        // the bus for it. Without this, a stream of back-to-back row hits
+        // can starve a higher-priority precharge forever: every hit CAS
+        // pushes the victim's tRTP window just past "now" again (priority
+        // inversion).
+        const int bestIdx = pp.overall;
+        if (bestIdx >= 0 && bestIdx != pickIdx) {
+          const Tick bestAt = candBuf_[static_cast<size_t>(bestIdx)].earliestIssue;
+          if (bestAt > now && bestAt - now <= 2 * channel_.timing().tCCD) {
+            scheduleKick(bestAt);
+            break;
+          }
         }
+        issueFor(candPos_[static_cast<size_t>(pickIdx)], now);
+        // The command bus is now busy for tCMD, so the next pass is
+        // wake-only.
+        continue;
       }
-      issueFor(byCandidateBuf_[static_cast<size_t>(pickIdx)],
-               candBuf_[static_cast<size_t>(pickIdx)].queueIndex, eq_.now());
-      // The command bus is now busy for tCMD; re-evaluating immediately
-      // would find nothing issuable, so fall through to the scheduling path
-      // on the next loop iteration.
-      continue;
     }
 
     // No request command issuable now: opportunistically retire one idle
-    // precharge requested by the page policy.
+    // precharge requested by the page policy. Stale entries (the row closed
+    // meanwhile) are dropped on the way.
     bool issuedClose = false;
-    for (auto it = pendingCloses_.begin(); it != pendingCloses_.end(); ++it) {
+    for (auto it = pendingCloses_.begin(); it != pendingCloses_.end();) {
       const auto& da = it->second;
       const int ub = channel_.ubankIndex(da);
       if (!channel_.rowOpen(ub)) {
-        pendingCloses_.erase(it);
-        issuedClose = true;  // stale entry; rescan
-        break;
+        it = pendingCloses_.erase(it);
+        continue;
       }
-      const Tick e = channel_.earliestPre(da, ub, eq_.now());
-      if (e <= eq_.now()) {
-        channel_.commitPre(da, ub, eq_.now());
-        if (checker_) checker_->onCommand(DramCommand::Pre, da, eq_.now());
-        if (cfg_.commandLog)
-          cfg_.commandLog->onCommand(DramCommand::Pre, da, eq_.now(), -1, -1);
+      const Tick e = channel_.earliestPre(da, ub, now);
+      if (e <= now) {
+        channel_.commitPre(da, ub, now);
+        markDirty(ub);
+        if (checker_) checker_->onCommand(DramCommand::Pre, da, now);
+        if (cfg_.commandLog) cfg_.commandLog->onCommand(DramCommand::Pre, da, now, -1, -1);
         pendingCloses_.erase(it);
         issuedClose = true;
         break;
       }
       minFuture = std::min(minFuture, e);
+      ++it;
     }
     if (issuedClose) continue;
 
     const Tick refreshDue = channel_.nextRefreshDue();
-    Tick wake = std::min(minFuture, refreshDue <= eq_.now() ? eq_.now() + channel_.timing().tCMD
-                                                            : refreshDue);
+    Tick wake = std::min(minFuture, refreshDue <= now ? now + channel_.timing().tCMD
+                                                      : refreshDue);
     if (outstanding() == 0 && pendingCloses_.empty()) {
       // Fully idle: no need to wake for refresh bookkeeping; the next
       // enqueue will catch up on due refreshes.
       wake = minFuture;
     }
-    if (wake != kTickNever && wake > eq_.now()) scheduleKick(wake);
+    if (wake != kTickNever && wake > now) scheduleKick(wake);
     break;
   }
 }
@@ -580,8 +657,12 @@ ControllerStats MemoryController::stats() const {
       channel_.dataBusUtilization(finalizedAt_ > 0 ? finalizedAt_ : eq_.now());
   s.activations = meter_.activations();
   s.refreshes = meter_.refreshes();
+  s.kicks = kicks_;
   s.arbPasses = arbPasses_;
+  s.wakeOnlyPasses = wakeOnlyPasses_;
+  s.batchFormations = batchFormations_;
   s.candidatesEvaluated = candidatesEvaluated_;
+  s.candidateRefreshes = candidateRefreshes_;
   s.preBlockVisits = preBlockVisits_;
   return s;
 }
@@ -632,8 +713,8 @@ void MemoryController::io(Ar& ar) {
   auto ioQueue = [&](auto& q) {
     std::uint64_t n = q.size();
     ar.u64Count(n, 28);
-    if constexpr (Ar::kLoading) q.assign(n, ReqHandle{});
-    for (ReqHandle& h : q) ioPending(ar, h);
+    if constexpr (Ar::kLoading) q.assign(n, {});
+    for (auto& e : q) ioPending(ar, handleOf(e));
   };
   ioQueue(readQ_);
   ioQueue(overflowQ_);
@@ -643,12 +724,11 @@ void MemoryController::io(Ar& ar) {
     if (!ar.ok()) return;
     // The scheduler addresses read-window requests by position.
     std::vector<std::uint64_t> readIds;
-    for (const ReqHandle h : readQ_) readIds.push_back(pool_.ref(h).req.id);
+    for (const Record& r : readQ_) readIds.push_back(pool_.ref(r.h).req.id);
     if (!scheduler_->tracksReadWindow(readIds)) return ar.fail();
-    // The table the batched-admission path reads (see enqueue()).
-    bool reads = false, writes = false;
-    serveFlags(reads, writes);
-    indexOpenRowUsers(reads, writes);
+    for (Record& r : readQ_) r = makeRecord(r.h);
+    for (Record& r : writeQ_) r = makeRecord(r.h);
+    markAllDirty();
   }
 
   // The map and slot table below are walked in ascending key order through

@@ -103,6 +103,64 @@ Tick ChannelState::earliestCas(const core::DramAddress& da, int ub, bool write,
   return t;
 }
 
+Tick ChannelState::earliest(DramCommand cmd, const core::DramAddress& da, int ub,
+                            Tick now) const {
+  switch (cmd) {
+    case DramCommand::Act: return earliestAct(da, ub, now);
+    case DramCommand::Pre: return earliestPre(da, ub, now);
+    case DramCommand::Read: return earliestCas(da, ub, false, now);
+    case DramCommand::Write: return earliestCas(da, ub, true, now);
+    case DramCommand::Refresh: break;
+  }
+  MB_CHECK(false && "refresh is not a request command");
+  return kTickNever;
+}
+
+void ChannelState::commandFloors(Tick now, std::vector<CommandFloors>& floors) const {
+  static_assert(static_cast<int>(DramCommand::Act) == 0 &&
+                static_cast<int>(DramCommand::Pre) == 1 &&
+                static_cast<int>(DramCommand::Read) == 2 &&
+                static_cast<int>(DramCommand::Write) == 3);
+  floors.resize(ranks_.size());
+  const Tick bus = std::max(now, cmdBusFreeAt_);
+  for (size_t r = 0; r < ranks_.size(); ++r) {
+    const RankState& rk = ranks_[r];
+    const Tick base = std::max(bus, rk.refreshUntil);
+    Tick act = std::max(base, fawReadyAt(rk));
+    if (rk.lastActAt >= 0) act = std::max(act, rk.lastActAt + timing_.tRRD);
+    // earliestCas's data-bus adjustment, max(t, busReady - tAA), folds in
+    // here because max is associative.
+    Tick busReady = dataBusFreeAt_;
+    if (lastCasRank_ >= 0 && lastCasRank_ != static_cast<int>(r)) busReady += timing_.tRTRS;
+    Tick write = std::max(base, busReady - timing_.tAA);
+    if (lastCasAt_ >= 0) write = std::max(write, lastCasAt_ + timing_.tCCD);
+    Tick read = write;
+    if (rk.lastWriteDataEndAt >= 0)
+      read = std::max(read, rk.lastWriteDataEndAt + timing_.tWTR);
+    floors[r] = {act, base, read, write};
+  }
+}
+
+Tick ChannelState::ubankTerm(DramCommand cmd, int ub) const {
+  const auto i = static_cast<size_t>(ub);
+  switch (cmd) {
+    case DramCommand::Act: return actReadyAt_[i];
+    case DramCommand::Pre: {
+      Tick t = 0;  // ticks are non-negative, so 0 never raises a floor
+      if (lastActAt_[i] >= 0) t = std::max(t, lastActAt_[i] + timing_.tRAS);
+      if (lastReadCasAt_[i] >= 0) t = std::max(t, lastReadCasAt_[i] + timing_.tRTP);
+      if (lastWriteDataEndAt_[i] >= 0)
+        t = std::max(t, lastWriteDataEndAt_[i] + timing_.tWR);
+      return t;
+    }
+    case DramCommand::Read:
+    case DramCommand::Write: return lastActAt_[i] + timing_.tRCD;
+    case DramCommand::Refresh: break;
+  }
+  MB_CHECK(false && "refresh is not a request command");
+  return kTickNever;
+}
+
 void ChannelState::commitAct(const core::DramAddress& da, int ub, Tick at) {
   auto& rk = ranks_[static_cast<size_t>(da.rank)];
   const auto i = static_cast<size_t>(ub);

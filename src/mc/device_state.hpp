@@ -37,6 +37,8 @@
 
 namespace mb::mc {
 
+/// Act..Write are the request commands; their values index
+/// ChannelState::CommandFloors.
 enum class DramCommand { Act, Pre, Read, Write, Refresh };
 
 const char* commandName(DramCommand cmd);
@@ -191,6 +193,22 @@ class MB_CHANNEL_LOCAL ChannelState {
   Tick earliestCas(const core::DramAddress& da, bool write, Tick now) const {
     return earliestCas(da, ubankIndex(da), write, now);
   }
+
+  /// earliestAct/Pre/Cas by command kind (Act, Pre, Read or Write).
+  Tick earliest(DramCommand cmd, const core::DramAddress& da, int ub, Tick now) const;
+
+  /// The earliest* queries factored into a rank part and a μbank part:
+  ///   earliest(cmd, da, ub, now) == max(floors[da.rank][cmd], ubankTerm(cmd, ub))
+  /// where `floors` is what commandFloors(now, floors) fills, one entry per
+  /// rank indexed by command (Act, Pre, Read, Write). The floors hold every
+  /// channel- and rank-level bound (command and data bus, tCCD, tRTRS,
+  /// tRRD, tFAW, tWTR, refresh) and cost O(ranks) per call; the term holds
+  /// the μbank's own (tRP, tRAS/tRTP/tWR, tRCD) and only changes when a
+  /// command commits to the μbank, a refresh closes it, or a lazy decision
+  /// resolves. The earliest* functions stay the reference.
+  using CommandFloors = std::array<Tick, 4>;
+  void commandFloors(Tick now, std::vector<CommandFloors>& floors) const;
+  Tick ubankTerm(DramCommand cmd, int ub) const;
 
   // ---- Command commits (update all affected timestamps) ----------------
   void commitAct(const core::DramAddress& da, int ub, Tick at);

@@ -10,8 +10,9 @@
 // Handles are generation-tagged: freeing a slot bumps its generation, so a
 // stale handle (a queue entry that outlived its request — a bookkeeping bug)
 // fails the MB_CHECK in deref instead of silently aliasing the slot's next
-// occupant. Queues store 8-byte handles, which also makes the erase-compact
-// path a memmove of integers instead of unique_ptr shuffling.
+// occupant. Queues store handles (the controller's read and write queues
+// inside their arbitration records), so the erase-compact path is a memmove
+// of plain data instead of unique_ptr shuffling.
 #pragma once
 
 #include <cstdint>

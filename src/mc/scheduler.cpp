@@ -149,8 +149,14 @@ void ParBsScheduler::formBatch() {
   }
 }
 
+bool ParBsScheduler::formBatchIfDue() {
+  if (!wouldFormBatch()) return false;
+  formBatch();
+  return true;
+}
+
 void ParBsScheduler::prepareBatch(std::vector<Candidate>& cands) {
-  if (markedCount_ == 0 && !queueView_.empty()) formBatch();
+  formBatchIfDue();
   for (auto& c : cands) {
     MB_DCHECK(c.queueIndex < 0 ||
               queueView_[static_cast<std::size_t>(c.queueIndex)].id == c.id);

@@ -100,6 +100,12 @@ class MB_CHANNEL_LOCAL Scheduler {
   /// time, so deferring the pick would mark a different set.
   virtual bool wouldFormBatch() const { return false; }
 
+  /// Form a new priority batch now if wouldFormBatch(); returns whether it
+  /// did. pick()/pickPair() do this first, so a caller only needs it on a
+  /// pass that skips the pick (the controller's wake-only passes) or to
+  /// learn that the marks changed.
+  virtual bool formBatchIfDue() { return false; }
+
   virtual SchedulerKind kind() const = 0;
   std::string name() const { return schedulerKindName(kind()); }
 
@@ -152,16 +158,17 @@ class MB_CHANNEL_LOCAL ParBsScheduler final : public Scheduler {
   }
   bool tracksReadWindow(const std::vector<std::uint64_t>& readIds) const override;
   bool wouldFormBatch() const override {
-    return markedCount_ == 0 && !queueView_.empty();  // mirrors prepareBatch()
+    return markedCount_ == 0 && !queueView_.empty();
   }
+  bool formBatchIfDue() override;
 
   MB_SNAP_ENTRY_POINTS(, override);
 
  private:
   template <class Ar> void io(Ar& ar);
   void formBatch();
-  /// Batch upkeep shared by pick()/pickPair(): (re)form the batch when the
-  /// previous one drained and stamp each candidate's `marked` flag.
+  /// Batch upkeep shared by pick()/pickPair(): formBatchIfDue(), then stamp
+  /// each candidate's `marked` flag and rank.
   void prepareBatch(std::vector<Candidate>& cands);
 
   int markingCap_;
