@@ -124,8 +124,12 @@ PresetPerf measure(const sim::NamedConfig& preset, const Options& o) {
     if (rep == 0 || wall < bestWall) {
       bestWall = wall;
       p.events = r.eventsProcessed;
+      p.kicks = r.mcKicks;
       p.arbPasses = r.mcArbPasses;
+      p.wakeOnlyPasses = r.mcWakeOnlyPasses;
+      p.batchFormations = r.mcBatchFormations;
       p.candidatesEvaluated = r.mcCandidatesEvaluated;
+      p.candidateRefreshes = r.mcCandidateRefreshes;
       p.preBlockVisits = r.mcPreBlockVisits;
       const double simCycles =
           static_cast<double>(r.elapsed) / static_cast<double>(cfg.core.cyclePs);

@@ -30,10 +30,14 @@ struct PresetPerf {
   double eventsPerSec = 0.0;
   double simulatedCyclesPerSec = 0.0;
   long peakRssKiB = 0;  // delta of the process high-water mark (see header)
-  // Memory-controller arbitration work of one run (sim::RunResult::mcArbPasses
-  // and the two after it); deterministic, so any repeat gives the same.
+  // Memory-controller arbitration work of one run (sim::RunResult::mcKicks
+  // and the six after it); deterministic, so any repeat gives the same.
+  std::int64_t kicks = 0;
   std::int64_t arbPasses = 0;
+  std::int64_t wakeOnlyPasses = 0;
+  std::int64_t batchFormations = 0;
   std::int64_t candidatesEvaluated = 0;
+  std::int64_t candidateRefreshes = 0;
   std::int64_t preBlockVisits = 0;
 };
 
@@ -113,8 +117,12 @@ inline std::string perfJson(const std::vector<PresetPerf>& perfs,
         << ",\"eventsPerSec\":" << fmtG(p.eventsPerSec)
         << ",\"simulatedCyclesPerSec\":" << fmtG(p.simulatedCyclesPerSec)
         << ",\"peakRssKiB\":" << p.peakRssKiB
+        << ",\"kicks\":" << p.kicks
         << ",\"arbPasses\":" << p.arbPasses
+        << ",\"wakeOnlyPasses\":" << p.wakeOnlyPasses
+        << ",\"batchFormations\":" << p.batchFormations
         << ",\"candidatesEvaluated\":" << p.candidatesEvaluated
+        << ",\"candidateRefreshes\":" << p.candidateRefreshes
         << ",\"preBlockVisits\":" << p.preBlockVisits << '}';
   }
   out << ']';

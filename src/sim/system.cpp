@@ -632,8 +632,12 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
     r.dramReads += s.reads;
     r.dramWrites += s.writes;
     r.activations += s.activations;
+    r.mcKicks += s.kicks;
     r.mcArbPasses += s.arbPasses;
+    r.mcWakeOnlyPasses += s.wakeOnlyPasses;
+    r.mcBatchFormations += s.batchFormations;
     r.mcCandidatesEvaluated += s.candidatesEvaluated;
+    r.mcCandidateRefreshes += s.candidateRefreshes;
     r.mcPreBlockVisits += s.preBlockVisits;
   }
   r.rowHitRate = rowTotal == 0 ? 0.0

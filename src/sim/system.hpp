@@ -112,13 +112,17 @@ struct RunResult {
 
   // Host-side observability (mbperf): events the queue dispatched during
   // this run, and the memory controllers' arbitration work summed over
-  // channels (mc::ControllerStats::arbPasses and the two after it).
+  // channels (mc::ControllerStats::kicks and the six after it).
   // Deliberately NOT part of the canonical JSON report — they measure the
   // host's work, not the simulated machine, and the golden-identity corpus
   // hashes the report.
   std::uint64_t eventsProcessed = 0;
+  std::int64_t mcKicks = 0;
   std::int64_t mcArbPasses = 0;
+  std::int64_t mcWakeOnlyPasses = 0;
+  std::int64_t mcBatchFormations = 0;
   std::int64_t mcCandidatesEvaluated = 0;
+  std::int64_t mcCandidateRefreshes = 0;
   std::int64_t mcPreBlockVisits = 0;
 };
 

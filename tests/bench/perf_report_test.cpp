@@ -49,8 +49,12 @@ PresetPerf samplePerf(std::string name) {
   p.eventsPerSec = 36000.0;
   p.simulatedCyclesPerSec = 1.5e6;
   p.peakRssKiB = 2048;
+  p.kicks = 400;
   p.arbPasses = 700;
+  p.wakeOnlyPasses = 300;
+  p.batchFormations = 60;
   p.candidatesEvaluated = 9100;
+  p.candidateRefreshes = 1200;
   p.preBlockVisits = 9300;
   return p;
 }
@@ -83,8 +87,9 @@ TEST(PerfReportTest, RecordShapeCarriesAllFields) {
         "\"instrs\":10000", "\"repeat\":3", "\"preset\":\"p\"",
         "\"wallSeconds\":", "\"events\":4500", "\"eventsPerSec\":",
         "\"simulatedCyclesPerSec\":", "\"peakRssKiB\":2048",
-        "\"arbPasses\":700", "\"candidatesEvaluated\":9100",
-        "\"preBlockVisits\":9300",
+        "\"kicks\":400", "\"arbPasses\":700", "\"wakeOnlyPasses\":300",
+        "\"batchFormations\":60", "\"candidatesEvaluated\":9100",
+        "\"candidateRefreshes\":1200", "\"preBlockVisits\":9300",
         "\"totals\":", "\"peakRssKiB\":81920"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing:\n" << json;
   }

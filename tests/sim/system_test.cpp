@@ -132,6 +132,33 @@ TEST(RunSimulation, ArbitrationPrePassVisitsEachQueueEntryOncePerPass) {
   EXPECT_EQ(report.find(std::to_string(r.mcPreBlockVisits)), std::string::npos);
 }
 
+// Arbitration keeps one record per queued request and recomputes a record's
+// next command and timing term only when its μbank was dirtied since the
+// last refresh. Between two passes of one kick exactly one command commits:
+// it dirties its own μbank and, when it retires a read, the μbank of the
+// read refilled from overflow. Everything else that dirties is an
+// admission (one μbank, at most once per kick or batched admission) or an
+// all-μbank event, of which only batch formation is frequent. So a batch
+// formation may recompute both queues, and every other pass or kick only
+// the few records on the μbanks it touched — on RADIX, with 64 threads
+// spread over every μbank of 16 channels, fewer than four on average. A
+// controller that recomputed every served record on every pass would meet
+// neither bound. A pass that starts with the command bus busy is wake-only.
+TEST(RunSimulation, ArbitrationRecomputesOnlyDirtiedRecords) {
+  SystemConfig cfg;
+  cfg.core.maxInstrs = 4000;
+  const auto r = runSimulation(cfg, WorkloadSpec::mt(trace::MtKind::Radix));
+  const std::int64_t perPass = cfg.queueDepth + mc::ControllerConfig{}.writeQueueDepth;
+  ASSERT_GT(r.mcBatchFormations, 0);
+  ASSERT_GT(r.mcWakeOnlyPasses, 0);
+  EXPECT_LT(r.mcWakeOnlyPasses, r.mcArbPasses);
+  EXPECT_LE(r.mcKicks, r.mcArbPasses);
+  EXPECT_GT(r.mcCandidateRefreshes, 0);
+  EXPECT_LE(r.mcCandidateRefreshes,
+            perPass * r.mcBatchFormations + 4 * (r.mcArbPasses + r.mcKicks));
+  EXPECT_LT(4 * r.mcCandidateRefreshes, r.mcCandidatesEvaluated);
+}
+
 TEST(RunSimulation, EnergyBreakdownCategoriesAllPresent) {
   const auto r = runSimulation(fastConfig(), WorkloadSpec::spec("470.lbm"));
   EXPECT_GT(r.energy.processor, 0.0);
