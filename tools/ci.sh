@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: build + full ctest under ASan+UBSan, the suite again in random
-# order three times, a TSan pass over the parallel sweep tests, a recorded
-# (non-gating) perf-harness run in an unsanitized build tree, then clang-tidy
-# over src/.
+# order three times, a TSan pass over the parallel sweep tests, the
+# controller, golden and checkpoint tests in a Debug build (MB_DCHECKs on), a
+# recorded (non-gating) perf-harness run in an unsanitized build tree, then
+# clang-tidy over src/.
 #
 # Usage:  tools/ci.sh [build-dir]        (default: build-ci)
 #
@@ -31,6 +32,7 @@ static_tidy="not run"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build-ci}"
 build_tsan="${build}-tsan"
+build_debug="${build}-debug"
 
 echo "== configure (${build}) with MB_SANITIZE=address;undefined =="
 cmake -B "$build" -S "$repo" \
@@ -73,6 +75,25 @@ echo "== parallel-sweep tests under TSan =="
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$build_tsan" --output-on-failure \
     -R 'SweepRunner|RunSpecGroupParallel'
+
+echo "== configure (${build_debug}) as a Debug build =="
+cmake -B "$build_debug" -S "$repo" -DCMAKE_BUILD_TYPE=Debug
+
+echo "== build the controller, golden and checkpoint tests in Debug =="
+cmake --build "$build_debug" -j"$(nproc)" \
+  --target mc_tests integration_tests sim_tests ckpt_tests
+
+echo "== controller, golden and checkpoint tests with MB_DCHECKs =="
+# Every other stage builds RelWithDebInfo (NDEBUG), where MB_DCHECK compiles
+# out. This one runs the checks that only exist in Debug builds: the
+# request-arena generation check, the PAR-BS candidate-id check and the
+# controller's comparison of every cached arbitration record against the
+# ChannelState earliest* reference.
+"$build_debug/tests/mc_tests"
+"$build_debug/tests/integration_tests" --gtest_filter='GoldenReport.*'
+"$build_debug/tests/sim_tests" \
+  --gtest_filter='SnapshotGolden.*:Checkpoint.*:Warmup.*'
+"$build_debug/tests/ckpt_tests"
 
 echo "== mblint conformance =="
 "$build/tools/mblint" --all-presets
