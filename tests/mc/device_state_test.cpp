@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace mb::mc {
 namespace {
 
@@ -229,6 +234,72 @@ TEST(ChannelStateRefresh, RanksRefreshStaggered) {
   EXPECT_TRUE(ch.maybeRefresh(t.tREFI, nullptr));
   EXPECT_EQ(ch.rankAt(0).nextRefreshAt, 2 * t.tREFI);
   EXPECT_GT(ch.rankAt(1).nextRefreshAt, t.tREFI);
+}
+
+// The arbitration fast path prices a command as max(rank floor, μbank
+// term); that must equal the earliest* reference in every reachable state.
+// Drive a random legal command stream, with refreshes of both kinds, and
+// compare every command kind on every μbank after each step. The second
+// timing set makes tCCD, the data burst and tRTRS each the binding CAS
+// bound in some state (TSI timing has tRTRS = 0 and tCCD = tBURST).
+TEST(ChannelStateFloors, FloorAndTermFactorTheEarliestQueries) {
+  dram::TimingParams pcb = dram::TimingParams::ddr3();
+  pcb.tCCD = pcb.tBURST + ns(1);
+  for (const auto& timing : {dram::TimingParams::tsi(), pcb}) {
+    for (const bool perBank : {false, true}) {
+      ChannelState ch(smallGeometry(2, 2), timing);
+      ch.perBankRefresh = perBank;
+      Rng rng(perBank ? 11 : 7);
+      std::vector<core::DramAddress> ubanks;
+      for (int r = 0; r < 2; ++r)
+        for (int b = 0; b < 2; ++b)
+          for (int u = 0; u < 4; ++u) ubanks.push_back(addr(r, b, u, 0));
+      std::vector<ChannelState::CommandFloors> floors;
+      Tick now = 0;
+      int refreshes = 0;
+      for (int step = 0; step < 12000; ++step) {
+        now += static_cast<Tick>(rng.nextBounded(3000));
+        refreshes += ch.maybeRefresh(now, nullptr) ? 1 : 0;
+        ch.commandFloors(now, floors);
+        for (core::DramAddress da : ubanks) {
+          const int ub = ch.ubankIndex(da);
+          da.row = std::max<std::int64_t>(ch.openRow(ub), 0);
+          std::vector<DramCommand> cmds{DramCommand::Act};
+          if (ch.rowOpen(ub))
+            cmds = {DramCommand::Pre, DramCommand::Read, DramCommand::Write};
+          for (const DramCommand cmd : cmds) {
+            const auto& f = floors[static_cast<std::size_t>(da.rank)];
+            EXPECT_EQ(std::max(f[static_cast<std::size_t>(cmd)], ch.ubankTerm(cmd, ub)),
+                      ch.earliest(cmd, da, ub, now))
+                << commandName(cmd) << " on " << da.toString() << " at step " << step;
+          }
+        }
+        // Commit the first command that is legal now on a random μbank, so
+        // activations crowd the tFAW window and CASes alternate ranks.
+        for (int tries = 0; tries < 4; ++tries) {
+          core::DramAddress da = ubanks[rng.nextBounded(ubanks.size())];
+          const int ub = ch.ubankIndex(da);
+          if (!ch.rowOpen(ub)) {
+            da.row = static_cast<std::int64_t>(rng.nextBounded(4));
+            if (ch.earliestAct(da, ub, now) > now) continue;
+            ch.commitAct(da, ub, now);
+          } else {
+            da.row = ch.openRow(ub);
+            const bool write = rng.nextBool(0.4);
+            if (rng.nextBool(0.2)) {
+              if (ch.earliestPre(da, ub, now) > now) continue;
+              ch.commitPre(da, ub, now);
+            } else {
+              if (ch.earliestCas(da, ub, write, now) > now) continue;
+              ch.commitCas(da, ub, write, now);
+            }
+          }
+          break;
+        }
+      }
+      EXPECT_GE(refreshes, 2);
+    }
+  }
 }
 
 TEST_F(ChannelStateTest, DataBusUtilizationAccumulates) {

@@ -119,6 +119,26 @@ TEST(ParBs, NewBatchFormsWhenMarkedDrains) {
   EXPECT_TRUE(s.isMarked(2));
 }
 
+// The controller's wake-only passes form a due batch without a pick.
+TEST(ParBs, FormBatchIfDueFormsOnlyWhenTheLastBatchDrained) {
+  ParBsScheduler s(2);
+  EXPECT_FALSE(s.formBatchIfDue());  // empty queue: nothing to mark
+  const auto r1 = req(1, 0, 10);
+  s.onEnqueue(r1);
+  EXPECT_TRUE(s.formBatchIfDue());
+  EXPECT_TRUE(s.isMarked(1));
+  s.onEnqueue(req(2, 0, 20));
+  EXPECT_FALSE(s.formBatchIfDue());  // the batch still holds request 1
+  EXPECT_FALSE(s.isMarked(2));
+  s.onDequeue(r1);
+  EXPECT_TRUE(s.formBatchIfDue());
+  EXPECT_TRUE(s.isMarked(2));
+
+  FrFcfsScheduler plain;
+  plain.onEnqueue(r1);
+  EXPECT_FALSE(plain.formBatchIfDue());
+}
+
 TEST(ParBs, MarkingCapLimitsPerThread) {
   ParBsScheduler s(2);
   for (std::uint64_t i = 1; i <= 5; ++i) s.onEnqueue(req(i, 0, static_cast<Tick>(i)));
