@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the simulator's hot paths: address
-// decomposition, cache lookup, scheduler candidate selection, DRAM command
-// commit, trace generation, and a full small simulation as the end-to-end
-// cost yardstick.
+// decomposition, cache lookup, DRAM command commit, trace generation, and a
+// full small simulation as the end-to-end cost yardstick (which carries the
+// memory controller's arbitration).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include "core/address_map.hpp"
 #include "cpu/cache.hpp"
 #include "mc/controller.hpp"
-#include "mc/scheduler.hpp"
 #include "sim/experiment.hpp"
 #include "trace/generator.hpp"
 
@@ -75,60 +74,6 @@ void BM_CacheInsertEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheInsertEvict);
-
-std::vector<mc::Candidate> makeCandidates(mc::Scheduler& sched, std::size_t n) {
-  Rng rng(3);
-  std::vector<mc::Candidate> cands(n);
-  for (size_t i = 0; i < cands.size(); ++i) {
-    auto& c = cands[i];
-    c.queueIndex = static_cast<int>(i);
-    c.id = i + 1;
-    c.thread = static_cast<ThreadId>(rng.nextBounded(8));
-    c.arrival = static_cast<Tick>(rng.nextBounded(100000));
-    c.earliestIssue = rng.nextBool(0.7) ? 0 : 1000000;
-    c.rowHit = rng.nextBool(0.4);
-    mc::MemRequest req;
-    req.id = c.id;
-    req.thread = c.thread;
-    req.arrival = c.arrival;
-    sched.onEnqueue(req);
-  }
-  return cands;
-}
-
-void BM_SchedulerPick(benchmark::State& state) {
-  auto sched = mc::makeScheduler(
-      static_cast<mc::SchedulerKind>(state.range(0)));
-  auto cands = makeCandidates(*sched, static_cast<std::size_t>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched->pick(cands, 500000));
-  }
-}
-// Args: {scheduler kind (FCFS, FR-FCFS, PAR-BS), candidate count}. The large
-// counts model deep per-channel queues where the scan dominates kick().
-BENCHMARK(BM_SchedulerPick)
-    ->Args({0, 32})->Args({1, 32})->Args({2, 32})
-    ->Args({0, 64})->Args({1, 64})->Args({2, 64})
-    ->Args({0, 256})->Args({1, 256})->Args({2, 256});
-
-void BM_SchedulerPickPair(benchmark::State& state) {
-  // The fused single-scan used by MemoryController::kick(): one pass yields
-  // both the issuable-now best and the overall best for the priority gate.
-  // Compare against 2x BM_SchedulerPick at the same count; the win grows
-  // with comparator cost, so PAR-BS (the shipped default) benefits most.
-  auto sched = mc::makeScheduler(
-      static_cast<mc::SchedulerKind>(state.range(0)));
-  auto cands = makeCandidates(*sched, static_cast<std::size_t>(state.range(1)));
-  for (auto _ : state) {
-    const auto pp = sched->pickPair(cands, 500000);
-    benchmark::DoNotOptimize(pp.issuable);
-    benchmark::DoNotOptimize(pp.overall);
-  }
-}
-BENCHMARK(BM_SchedulerPickPair)
-    ->Args({0, 32})->Args({1, 32})->Args({2, 32})
-    ->Args({0, 64})->Args({1, 64})->Args({2, 64})
-    ->Args({0, 256})->Args({1, 256})->Args({2, 256});
 
 void BM_DramCommandCycle(benchmark::State& state) {
   const auto g = benchGeometry();

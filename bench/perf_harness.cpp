@@ -131,6 +131,8 @@ PresetPerf measure(const sim::NamedConfig& preset, const Options& o) {
       p.candidatesEvaluated = r.mcCandidatesEvaluated;
       p.candidateRefreshes = r.mcCandidateRefreshes;
       p.preBlockVisits = r.mcPreBlockVisits;
+      p.noopKicks = r.mcNoopKicks;
+      p.commandsIssued = r.mcCommandsIssued;
       const double simCycles =
           static_cast<double>(r.elapsed) / static_cast<double>(cfg.core.cyclePs);
       p.simulatedCyclesPerSec = wall > 0.0 ? simCycles / wall : 0.0;

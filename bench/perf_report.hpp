@@ -31,7 +31,7 @@ struct PresetPerf {
   double simulatedCyclesPerSec = 0.0;
   long peakRssKiB = 0;  // delta of the process high-water mark (see header)
   // Memory-controller arbitration work of one run (sim::RunResult::mcKicks
-  // and the six after it); deterministic, so any repeat gives the same.
+  // and the eight after it); deterministic, so any repeat gives the same.
   std::int64_t kicks = 0;
   std::int64_t arbPasses = 0;
   std::int64_t wakeOnlyPasses = 0;
@@ -39,6 +39,8 @@ struct PresetPerf {
   std::int64_t candidatesEvaluated = 0;
   std::int64_t candidateRefreshes = 0;
   std::int64_t preBlockVisits = 0;
+  std::int64_t noopKicks = 0;
+  std::int64_t commandsIssued = 0;
 };
 
 struct ReportMeta {
@@ -123,7 +125,9 @@ inline std::string perfJson(const std::vector<PresetPerf>& perfs,
         << ",\"batchFormations\":" << p.batchFormations
         << ",\"candidatesEvaluated\":" << p.candidatesEvaluated
         << ",\"candidateRefreshes\":" << p.candidateRefreshes
-        << ",\"preBlockVisits\":" << p.preBlockVisits << '}';
+        << ",\"preBlockVisits\":" << p.preBlockVisits
+        << ",\"noopKicks\":" << p.noopKicks
+        << ",\"commandsIssued\":" << p.commandsIssued << '}';
   }
   out << ']';
   if (serve != nullptr) {

@@ -1,6 +1,8 @@
 #include "mc/controller.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <map>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -20,10 +22,16 @@ MemoryController::MemoryController(ChannelId id, const dram::Geometry& geom,
       channel_(geom, timing),
       meter_(energy),
       scheduler_(makeScheduler(config.scheduler)),
+      schedKind_(scheduler_->kind()),
       policy_(core::makePagePolicy(config.pagePolicy)) {
   speculations_.resize(static_cast<std::size_t>(channel_.ubankCount()));
+  queuedOnUb_.assign(static_cast<std::size_t>(channel_.ubankCount()), 0);
+  classes_.resize(static_cast<std::size_t>(geom.ranksPerChannel) * 4);
+  classBits_.assign((classes_.size() + 63) / 64, 0);
+  cursors_.resize(classes_.size());
   rowUsers_.resize(static_cast<std::size_t>(channel_.ubankCount()));
   ubDirty_.assign(static_cast<std::size_t>(channel_.ubankCount()), 0);
+  ubHead_.assign(static_cast<std::size_t>(channel_.ubankCount()), -1);
   channel_.refreshEnabled = cfg_.refreshEnabled;
   channel_.perBankRefresh = cfg_.perBankRefresh;
   if (cfg_.enableTimingCheck) {
@@ -34,6 +42,7 @@ MemoryController::MemoryController(ChannelId id, const dram::Geometry& geom,
 
 void MemoryController::enqueue(MemRequest req) {
   req.id = nextRequestId_++;
+  MB_CHECK(req.id <= kKeyIdMask);  // the id is the low field of the priority key
   req.arrival = eq_.now();
   req.da = map_.decompose(req.addr);
   // Force the decomposed channel to this controller: the caller routes by
@@ -77,15 +86,17 @@ void MemoryController::enqueue(MemRequest req) {
   if (req.write) {
     writes_.inc();
     // Coalesce with an already-buffered write to the same line.
-    for (const Record& w : writeQ_) {
-      if (pool_.ref(w.h).req.addr == req.addr) return;
+    for (const ReqHandle w : writeQ_) {
+      if (pool_.ref(w).req.addr == req.addr) return;
     }
     Pending p;
     p.req = std::move(req);
     p.flat = flat;
     p.ub = ub;
     admitted = pool_.alloc(std::move(p));
-    writeQ_.push_back(makeRecord(admitted));
+    writeQ_.push_back(admitted);
+    placeRecord(admitted);
+    ++queuedOnUb_[static_cast<std::size_t>(ub)];
     markDirty(ub);
     inWindow = true;
     if (static_cast<int>(writeQ_.size()) >= cfg_.writeHighWatermark)
@@ -94,8 +105,8 @@ void MemoryController::enqueue(MemRequest req) {
     reads_.inc();
     // Forward from a buffered write to the same line: the data is newer
     // than DRAM and available immediately after a queue lookup.
-    for (const Record& w : writeQ_) {
-      if (pool_.ref(w.h).req.addr == req.addr) {
+    for (const ReqHandle w : writeQ_) {
+      if (pool_.ref(w).req.addr == req.addr) {
         forwarded_.inc();
         if (req.onComplete) {
           const Tick done = eq_.now() + channel_.timing().tCMD;
@@ -109,9 +120,11 @@ void MemoryController::enqueue(MemRequest req) {
     p.flat = flat;
     p.ub = ub;
     admitted = pool_.alloc(std::move(p));
+    ++queuedOnUb_[static_cast<std::size_t>(ub)];
     if (static_cast<int>(readQ_.size()) < cfg_.queueDepth) {
       scheduler_->onEnqueue(pool_.get(admitted).req);
-      readQ_.push_back(makeRecord(admitted));
+      readQ_.push_back(admitted);
+      placeRecord(admitted);
       markDirty(ub);
       inWindow = true;
     } else {
@@ -142,7 +155,7 @@ void MemoryController::enqueue(MemRequest req) {
       // happened since the last pass, so the records it computes are the
       // ones the next pass would compute.
       refreshRecords(nowReads, nowWrites);
-      const Record& r = isWrite ? writeQ_.back() : readQ_.back();
+      const Record& r = rec(slotOf(admitted));
       if (r.term != kTickNever) {
         channel_.commandFloors(eq_.now(), floors_);
         const Tick e = earliestOf(r);
@@ -168,9 +181,12 @@ void MemoryController::resolveSpeculation(std::int64_t flat, int ub,
   --liveSpeculations_;
 }
 
-MemoryController::Record MemoryController::makeRecord(ReqHandle h) const {
+MemoryController::Record& MemoryController::placeRecord(ReqHandle h) {
   const Pending& p = pool_.ref(h);
-  Record r;
+  const auto slot = static_cast<std::size_t>(h.idx);
+  if (slot >= recs_.size()) recs_.resize(slot + 1);
+  Record& r = recs_[slot];
+  r = Record{};
   r.h = h;
   r.id = p.req.id;
   r.arrival = p.req.arrival;
@@ -179,16 +195,30 @@ MemoryController::Record MemoryController::makeRecord(ReqHandle h) const {
   r.rank = p.req.da.rank;
   r.thread = p.req.thread;
   r.write = p.req.write;
+  int& head = ubHead_[static_cast<std::size_t>(r.ub)];
+  r.nextOnUb = head;
+  if (head >= 0) rec(head).prevOnUb = slotOf(h);
+  head = slotOf(h);
   return r;
+}
+
+void MemoryController::unlinkRecord(const Record& r) {
+  if (r.prevOnUb >= 0)
+    rec(r.prevOnUb).nextOnUb = r.nextOnUb;
+  else
+    ubHead_[static_cast<std::size_t>(r.ub)] = r.nextOnUb;
+  if (r.nextOnUb >= 0) rec(r.nextOnUb).prevOnUb = r.prevOnUb;
 }
 
 template <class F>
 void MemoryController::forEachServed(bool reads, bool writes, F&& f) {
   if (reads) {
-    for (std::size_t i = 0; i < readQ_.size(); ++i) f(readQ_[i], static_cast<int>(i));
+    for (std::size_t i = 0; i < readQ_.size(); ++i)
+      f(rec(slotOf(readQ_[i])), static_cast<int>(i));
   }
   if (writes) {
-    for (std::size_t i = 0; i < writeQ_.size(); ++i) f(writeQ_[i], ~static_cast<int>(i));
+    for (std::size_t i = 0; i < writeQ_.size(); ++i)
+      f(rec(slotOf(writeQ_[i])), ~static_cast<int>(i));
   }
 }
 
@@ -199,42 +229,66 @@ void MemoryController::refreshRecords(bool servingReads, bool servingWrites) {
     markAllDirty();
   }
   if (!allDirty_ && dirtyUbs_.empty()) return;
-  // First sweep: each dirty record's next command and μbank term, and the
-  // open-row users (requests whose next command is a CAS) of each dirty
-  // μbank. Dirt is per μbank, so every user of a dirty μbank is swept.
+  // First sweep: each dirty record's next command, μbank term and key, and
+  // the open-row users (requests whose next command is a CAS) of each dirty
+  // μbank. Dirt is per μbank, and a dirty μbank's list holds every one of
+  // its records, so every user of a dirty μbank is swept.
   ++rowUsersPass_;
-  bool anyPre = false;
-  forEachServed(servingReads, servingWrites, [&](Record& r, int pos) {
-    if (!dirty(r.ub)) return;
+  touched_.clear();
+  auto recompute = [&](Record& r) {
     ++candidateRefreshes_;
+    touched_.push_back(Touched{slotOf(r.h), r.term != kTickNever, classOf(r), r.key, r.term});
     const std::int64_t open = channel_.openRow(r.ub);
     if (open == r.row) {  // rows are non-negative, so this means open
       r.next = r.write ? DramCommand::Write : DramCommand::Read;
       RowUsers& u = rowUsers_[static_cast<std::size_t>(r.ub)];
       if (u.pass != rowUsersPass_) u = RowUsers{rowUsersPass_, kTickNever, kTickNever};
       u.oldest = std::min(u.oldest, r.arrival);
-      if (pos >= 0 && scheduler_->requestMarked(pos))
-        u.oldestMarked = std::min(u.oldestMarked, r.arrival);
+      if (r.marked) u.oldestMarked = std::min(u.oldestMarked, r.arrival);
     } else {
       r.next = open < 0 ? DramCommand::Act : DramCommand::Pre;
-      anyPre = anyPre || open >= 0;
     }
     r.term = channel_.ubankTerm(r.next, r.ub);
-  });
+    rekey(r);
+  };
+  if (allDirty_) {
+    forEachServed(servingReads, servingWrites, [&](Record& r, int) { recompute(r); });
+  } else {
+    for (const int ub : dirtyUbs_) {
+      for (int slot = ubHead_[static_cast<std::size_t>(ub)]; slot >= 0;) {
+        Record& r = rec(slot);
+        slot = r.nextOnUb;
+        if (r.write ? servingWrites : servingReads) recompute(r);
+      }
+    }
+  }
   // Second sweep: hold back precharges that would steal an older user's row.
-  if (anyPre) {
-    forEachServed(servingReads, servingWrites, [&](Record& r, int pos) {
-      if (r.next != DramCommand::Pre || !dirty(r.ub)) return;
-      ++preBlockVisits_;
-      if (preBlockedByOlderRowUser(r, pos)) r.term = kTickNever;
-    });
+  for (const Touched& t : touched_) {
+    Record& r = rec(t.slot);
+    if (r.next != DramCommand::Pre) continue;
+    ++preBlockVisits_;
+    if (preBlockedByOlderRowUser(r)) r.term = kTickNever;
+  }
+  if (allDirty_) {
+    rebuildClasses(servingReads, servingWrites);
+  } else {
+    for (const Touched& t : touched_) {
+      const Record& r = rec(t.slot);
+      const bool inClass = r.term != kTickNever;
+      if (t.inClass && inClass && t.cls == classOf(r) && t.key == r.key) {
+        classRetime(t.cls, r.key, t.term, r.term);
+        continue;
+      }
+      if (t.inClass) classErase(t.cls, t.key, t.term);
+      if (inClass) classInsert(r);
+    }
   }
   for (const int ub : dirtyUbs_) ubDirty_[static_cast<std::size_t>(ub)] = 0;
   dirtyUbs_.clear();
   allDirty_ = false;
 }
 
-bool MemoryController::preBlockedByOlderRowUser(const Record& r, int pos) const {
+bool MemoryController::preBlockedByOlderRowUser(const Record& r) const {
   // Do not steal an open row from an older request that still wants it —
   // but only if that request is itself schedulable right now (it then
   // outranks this precharge in every scheduler, so deferring cannot
@@ -245,25 +299,189 @@ bool MemoryController::preBlockedByOlderRowUser(const Record& r, int pos) const 
   if (u.pass != rowUsersPass_ || u.oldest >= r.arrival) return false;
   // A batch-marked request outranks unmarked row users regardless of age
   // (PAR-BS fairness: the batch boundary must bound a row hog's damage).
-  const bool marked = pos >= 0 && scheduler_->requestMarked(pos);
-  return !marked || u.oldestMarked < r.arrival;
+  return !r.marked || u.oldestMarked < r.arrival;
+}
+
+void MemoryController::classInsert(const Record& r) {
+  KeyClass& c = classes_[static_cast<std::size_t>(classOf(r))];
+  c.items.insert(c.find(r.key), KeyClass::Entry{r.key, r.term, slotOf(r.h)});
+  if (r.term < c.minTerm) c.minTerm = r.term;
+  setClassBit(static_cast<std::size_t>(classOf(r)), true);
+}
+
+void MemoryController::classErase(int cls, std::uint64_t key, Tick term) {
+  KeyClass& c = classes_[static_cast<std::size_t>(cls)];
+  const auto at = c.find(key);
+  MB_DCHECK(at != c.items.end() && at->key == key && at->term == term);
+  c.items.erase(at);
+  if (c.items.empty()) {
+    c.minTerm = kTickNever;
+    c.minStale = false;
+    setClassBit(static_cast<std::size_t>(cls), false);
+  } else if (term <= c.minTerm) {
+    c.minStale = true;
+  }
+}
+
+void MemoryController::classRetime(int cls, std::uint64_t key, Tick oldTerm, Tick term) {
+  KeyClass& c = classes_[static_cast<std::size_t>(cls)];
+  const auto at = c.find(key);
+  MB_DCHECK(at != c.items.end() && at->key == key && at->term == oldTerm);
+  at->term = term;
+  if (term <= c.minTerm) {
+    c.minTerm = term;  // exact: every other term is at least the old minimum
+    c.minStale = false;
+  } else if (oldTerm <= c.minTerm) {
+    c.minStale = true;
+  }
+}
+
+Tick MemoryController::classMinTerm(KeyClass& c) {
+  if (c.minStale) {
+    c.minTerm = kTickNever;
+    for (const KeyClass::Entry& e : c.items) c.minTerm = std::min(c.minTerm, e.term);
+    c.minStale = false;
+  }
+  return c.minTerm;
+}
+
+void MemoryController::rebuildClasses(bool servingReads, bool servingWrites) {
+  // Only the non-empty classes hold anything to clear (an empty one already
+  // has no minimum), so a shallow queue pays for its records, not for every
+  // class of the channel.
+  forEachClass([](int, KeyClass& c) {
+    c.items.clear();
+    c.minTerm = kTickNever;
+    c.minStale = false;
+  });
+  std::fill(classBits_.begin(), classBits_.end(), 0);
+  forEachServed(servingReads, servingWrites, [&](const Record& r, int) {
+    if (r.term == kTickNever) return;
+    const int cls = classOf(r);
+    KeyClass& c = classes_[static_cast<std::size_t>(cls)];
+    c.items.push_back(KeyClass::Entry{r.key, r.term, slotOf(r.h)});
+    c.minTerm = std::min(c.minTerm, r.term);
+    setClassBit(static_cast<std::size_t>(cls), true);
+  });
+  forEachClass([](int, KeyClass& c) {
+    std::sort(c.items.begin(), c.items.end(), KeyClass::byKey);
+  });
+}
+
+template <class F>
+void MemoryController::forEachClass(F&& f) {
+  for (std::size_t w = 0; w < classBits_.size(); ++w) {
+    for (std::uint64_t bits = classBits_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      f(static_cast<int>(i), classes_[i]);
+    }
+  }
+}
+
+Tick MemoryController::classWake() {
+  Tick wake = kTickNever;
+  forEachClass([&](int cls, KeyClass& c) {
+    wake = std::min(wake, std::max(floorOf(cls), classMinTerm(c)));
+  });
+  return wake;
+}
+
+MemoryController::Pick MemoryController::pickByKey(Tick now) {
+  // Cursors into the classes that can hold an issuable record: floor and
+  // minimum term both passed. Merging them in key order, the first record
+  // whose own term has passed is the pick.
+  Cursor* cur = cursors_.data();
+  int n = 0;
+  Pick p;
+  int favCls = -1;
+  forEachClass([&](int cls, KeyClass& c) {
+    if (favCls < 0 || c.items.front().key < p.favouriteKey) {
+      favCls = cls;
+      p.favouriteKey = c.items.front().key;
+    }
+    if (floorOf(cls) > now || classMinTerm(c) > now) return;
+    cur[n++] = Cursor{c.items.data(), c.items.data() + c.items.size()};
+  });
+  if (favCls < 0) return p;
+  p.favouriteAt = std::max(floorOf(favCls),
+                           classes_[static_cast<std::size_t>(favCls)].items.front().term);
+  while (n > 0) {
+    int best = 0;
+    for (int i = 1; i < n; ++i)
+      if (cur[i].at->key < cur[best].at->key) best = i;
+    ++candidatesEvaluated_;
+    if (cur[best].at->term <= now) {
+      p.issuableKey = cur[best].at->key;
+      p.issuable = cur[best].at->slot;
+      break;
+    }
+    if (++cur[best].at == cur[best].end) cur[best] = cur[--n];
+  }
+  return p;
 }
 
 #ifndef NDEBUG
 void MemoryController::checkRecords(bool servingReads, bool servingWrites, Tick now) {
   // Reference open-row users, from scratch over the served queues.
   std::unordered_map<int, RowUsers> users;
+  bool first = true;
+  std::uint64_t lastId = 0;
+  Tick lastArrival = 0;
+  std::vector<std::vector<KeyClass::Entry>> want(classes_.size());
   forEachServed(servingReads, servingWrites, [&](Record& r, int pos) {
     const Pending& p = pool_.ref(r.h);
     MB_CHECK(r.id == p.req.id && r.arrival == p.req.arrival && r.row == p.req.da.row &&
              r.ub == p.ub && r.rank == p.req.da.rank && r.thread == p.req.thread &&
              r.write == p.req.write);
+    // The key's id field stands in for age: the served requests are one
+    // queue, in id order, with arrivals that never decrease.
+    MB_CHECK(first || (r.id > lastId && r.arrival >= lastArrival));
+    first = false;
+    lastId = r.id;
+    lastArrival = r.arrival;
+    const bool marked = pos >= 0 && scheduler_->requestMarked(pos);
+    MB_CHECK(r.marked == marked);
+    MB_CHECK(r.threadRank == (marked ? scheduler_->threadRank(r.thread) : 0));
+    MB_CHECK(r.key == priorityKey(schedKind_, fieldsOf(r)));
+    if (r.term != kTickNever)
+      want[static_cast<std::size_t>(classOf(r))].push_back(
+          KeyClass::Entry{r.key, r.term, slotOf(r.h)});
     if (channel_.openRow(r.ub) != r.row) return;
     RowUsers& u = users[r.ub];
     u.oldest = std::min(u.oldest, r.arrival);
-    if (pos >= 0 && scheduler_->requestMarked(pos))
-      u.oldestMarked = std::min(u.oldestMarked, r.arrival);
+    if (marked) u.oldestMarked = std::min(u.oldestMarked, r.arrival);
   });
+  for (std::size_t i = 0; i < classes_.size(); ++i) {
+    const KeyClass& c = classes_[i];
+    std::sort(want[i].begin(), want[i].end(), KeyClass::byKey);
+    MB_CHECK(c.items.size() == want[i].size());
+    MB_CHECK(((classBits_[i >> 6] >> (i & 63)) & 1) == (c.items.empty() ? 0u : 1u));
+    Tick minTerm = kTickNever;
+    for (std::size_t j = 0; j < c.items.size(); ++j) {
+      MB_CHECK(c.items[j].key == want[i][j].key && c.items[j].term == want[i][j].term &&
+               c.items[j].slot == want[i][j].slot);
+      minTerm = std::min(minTerm, c.items[j].term);
+    }
+    MB_CHECK(c.minStale ? minTerm >= c.minTerm : minTerm == c.minTerm);
+  }
+  // Each μbank's list links exactly the queued records on it (served or
+  // not), through consistent back links.
+  std::map<int, std::size_t> perUb;
+  for (const auto* q : {&readQ_, &writeQ_})
+    for (const ReqHandle h : *q) {
+      MB_CHECK(rec(slotOf(h)).h == h);
+      ++perUb[rec(slotOf(h)).ub];
+    }
+  for (const auto& [ub, n] : perUb) {
+    std::size_t linked = 0;
+    int prev = -1;
+    for (int slot = ubHead_[static_cast<std::size_t>(ub)]; slot >= 0; slot = rec(slot).nextOnUb) {
+      MB_CHECK(rec(slot).ub == ub && rec(slot).prevOnUb == prev);
+      prev = slot;
+      ++linked;
+    }
+    MB_CHECK(linked == n);
+  }
   forEachServed(servingReads, servingWrites, [&](Record& r, int pos) {
     const std::int64_t open = channel_.openRow(r.ub);
     const DramCommand next = open == r.row ? (r.write ? DramCommand::Write : DramCommand::Read)
@@ -281,6 +499,41 @@ void MemoryController::checkRecords(bool servingReads, bool servingWrites, Tick 
       MB_CHECK(earliestOf(r) == channel_.earliest(next, pool_.ref(r.h).req.da, r.ub, now));
   });
 }
+
+void MemoryController::checkPick(const Pick& pick, bool servingReads, bool servingWrites,
+                                 Tick now) {
+  // The scan the key classes replace: every record that may issue, in
+  // queue order, under the pairwise order with the scheduler's own marks
+  // and ranks; a strict preference keeps the first of equals.
+  constexpr Tick kHorizon = kTickNever / 2;
+  int issuable = kNoSlot, favourite = kNoSlot;
+  PriorityFields bestIssuable, bestOverall;
+  forEachServed(servingReads, servingWrites, [&](Record& r, int pos) {
+    if (r.term == kTickNever) return;
+    PriorityFields f = fieldsOf(r);
+    f.marked = pos >= 0 && scheduler_->requestMarked(pos);
+    f.threadRank = f.marked ? scheduler_->threadRank(r.thread) : 0;
+    const Tick e = earliestOf(r);
+    if (e > kHorizon) return;
+    if (favourite == kNoSlot || prefers(schedKind_, f, bestOverall)) {
+      favourite = slotOf(r.h);
+      bestOverall = f;
+    }
+    if (e > now) return;
+    if (issuable == kNoSlot || prefers(schedKind_, f, bestIssuable)) {
+      issuable = slotOf(r.h);
+      bestIssuable = f;
+    }
+  });
+  MB_CHECK(issuable == pick.issuable);
+  MB_CHECK(issuable == kNoSlot || rec(issuable).key == pick.issuableKey);
+  if (favourite != kNoSlot) {
+    MB_CHECK(rec(favourite).key == pick.favouriteKey);
+    MB_CHECK(earliestOf(rec(favourite)) == pick.favouriteAt);
+  } else {
+    MB_CHECK(pick.favouriteAt == kTickNever);
+  }
+}
 #endif
 
 void MemoryController::serveFlags(bool& reads, bool& writes) const {
@@ -288,14 +541,35 @@ void MemoryController::serveFlags(bool& reads, bool& writes) const {
   reads = !drainingWrites_ || readQ_.empty();
 }
 
-void MemoryController::formBatchIfDue() {
-  if (!scheduler_->formBatchIfDue()) return;
+bool MemoryController::formBatchIfDue() {
+  if (!scheduler_->formBatchIfDue()) return false;
   ++batchFormations_;
   markAllDirty();
+  for (std::size_t i = 0; i < readQ_.size(); ++i) {
+    Record& r = rec(slotOf(readQ_[i]));
+    r.marked = scheduler_->requestMarked(static_cast<int>(i));
+    r.threadRank = r.marked ? scheduler_->threadRank(r.thread) : 0;
+    rekey(r);
+  }
+  return true;
 }
 
-void MemoryController::issueFor(int pos, Tick now) {
-  const Record& r = recordAt(pos);
+void MemoryController::rerankThread(ThreadId thread) {
+  const int rank = scheduler_->threadRank(thread);
+  for (const ReqHandle h : readQ_) {
+    Record& r = rec(slotOf(h));
+    if (!r.marked || r.thread != thread) continue;
+    const std::uint64_t old = r.key;
+    r.threadRank = rank;
+    rekey(r);
+    if (r.term == kTickNever) continue;  // not in a class
+    classErase(classOf(r), old, r.term);
+    classInsert(r);
+  }
+}
+
+void MemoryController::issueFor(int slot, Tick now) {
+  const Record& r = rec(slot);
   const DramCommand cmd = r.next;
   const int ub = r.ub;
   Pending& p = pool_.get(r.h);
@@ -307,6 +581,7 @@ void MemoryController::issueFor(int pos, Tick now) {
                static_cast<long long>(earliest), static_cast<long long>(now));
   if (commandTrace) commandTrace(cmd, p.req.da, now);
   markDirty(ub);
+  ++commandsIssued_;
   switch (cmd) {
     case DramCommand::Pre: {
       p.sawConflict = true;
@@ -331,7 +606,7 @@ void MemoryController::issueFor(int pos, Tick now) {
       if (cfg_.commandLog)
         cfg_.commandLog->onCommand(cmd, p.req.da, now, now + channel_.timing().tAA,
                                    dataEnd);
-      onRequestServiced(pos, dataEnd);  // frees the arena slot; p is dead here
+      onRequestServiced(slot, dataEnd);  // frees the arena slot; p and r are dead here
       break;
     }
     case DramCommand::Refresh:
@@ -339,8 +614,8 @@ void MemoryController::issueFor(int pos, Tick now) {
   }
 }
 
-void MemoryController::onRequestServiced(int pos, Tick dataEnd) {
-  const ReqHandle h = recordAt(pos).h;
+void MemoryController::onRequestServiced(int slot, Tick dataEnd) {
+  const ReqHandle h = rec(slot).h;
   Pending& p = pool_.get(h);
   const std::int64_t flat = p.flat;
   // Row-locality classification for this request.
@@ -365,16 +640,27 @@ void MemoryController::onRequestServiced(int pos, Tick dataEnd) {
   const core::DramAddress da = p.req.da;
   const int ub = p.ub;
 
-  // Remove from its queue, then release the slot; the handle is stale
-  // from here on.
-  if (pos >= 0) {
-    scheduler_->onDequeue(p.req);
-    readQ_.erase(readQ_.begin() + pos);
+  // Remove from its key class, its μbank's list and its queue, then release
+  // the slot; the handle is stale from here on.
+  const Record& r = rec(slot);
+  const bool rerank = r.marked;
+  if (r.term != kTickNever) classErase(classOf(r), r.key, r.term);
+  unlinkRecord(r);
+  if (!r.write) {
+    const auto at = std::find(readQ_.begin(), readQ_.end(), h);
+    MB_DCHECK(at != readQ_.end());
+    scheduler_->onDequeue(static_cast<int>(at - readQ_.begin()), r.id);
+    readQ_.erase(at);
+    // The thread's rank improved: its other marked reads move up.
+    if (rerank) rerankThread(thread);
   } else {
-    writeQ_.erase(writeQ_.begin() + ~pos);
+    const auto at = std::find(writeQ_.begin(), writeQ_.end(), h);
+    MB_DCHECK(at != writeQ_.end());
+    writeQ_.erase(at);
     if (static_cast<int>(writeQ_.size()) <= cfg_.writeLowWatermark)
       drainingWrites_ = false;
   }
+  --queuedOnUb_[static_cast<std::size_t>(ub)];
   markDirty(ub);
   pool_.free(h);
   refillVisibleWindow();
@@ -383,12 +669,14 @@ void MemoryController::onRequestServiced(int pos, Tick dataEnd) {
   // Page management: if no queued work remains for this μbank, make a
   // speculative decision; otherwise the queue itself dictates the action
   // (the conventional controllers of §V inspect pending requests).
-  auto onUbank = [ub](const Record& r) { return r.ub == ub; };
-  const bool pendingSameUbank =
-      std::any_of(readQ_.begin(), readQ_.end(), onUbank) ||
-      std::any_of(overflowQ_.begin(), overflowQ_.end(),
-                  [&](ReqHandle o) { return pool_.ref(o).ub == ub; }) ||
-      std::any_of(writeQ_.begin(), writeQ_.end(), onUbank);
+  const bool pendingSameUbank = queuedOnUb_[static_cast<std::size_t>(ub)] > 0;
+#ifndef NDEBUG
+  auto onUbank = [&](ReqHandle q) { return pool_.ref(q).ub == ub; };
+  MB_CHECK(pendingSameUbank ==
+           (std::any_of(readQ_.begin(), readQ_.end(), onUbank) ||
+            std::any_of(overflowQ_.begin(), overflowQ_.end(), onUbank) ||
+            std::any_of(writeQ_.begin(), writeQ_.end(), onUbank)));
+#endif
   if (!pendingSameUbank) maybeSpeculate(da, flat, ub, thread);
 }
 
@@ -422,8 +710,8 @@ void MemoryController::refillVisibleWindow() {
     const ReqHandle h = overflowQ_.front();
     overflowQ_.pop_front();
     scheduler_->onEnqueue(pool_.get(h).req);
-    readQ_.push_back(makeRecord(h));
-    markDirty(readQ_.back().ub);
+    readQ_.push_back(h);
+    markDirty(placeRecord(h).ub);
   }
 }
 
@@ -450,7 +738,7 @@ void MemoryController::onKickEventFired(Tick at) {
   eraseKickEvent(at);
   if (nextKickAt_ == at) {
     nextKickAt_ = kTickNever;
-    kick();
+    kick(/*woken=*/true);
   }
 }
 
@@ -521,10 +809,25 @@ void MemoryController::fireCompletion(int slot, std::uint64_t token) {
   if (cb) cb(due);
 }
 
-void MemoryController::kick() {
+void MemoryController::kick(bool woken) {
   const Tick now = eq_.now();
   lastKickTick_ = now;
   ++kicks_;
+  {
+    // A kick that can change nothing is skipped: no record is stale, the
+    // serve flags and the batch are as the last pass left them, no refresh
+    // is due, and the wake-up that pass armed (the earliest tick a record
+    // or idle close may issue, or the gate's favourite) is still ahead. A
+    // pass now would re-derive the same prices and arm the same wake-up.
+    bool reads = false, writes = false;
+    serveFlags(reads, writes);
+    if (!woken && !allDirty_ && dirtyUbs_.empty() && reads == servedReads_ &&
+        writes == servedWrites_ && channel_.nextRefreshDue() > now && now < nextKickAt_ &&
+        !scheduler_->wouldFormBatch()) {
+      ++noopKicks_;
+      return;
+    }
+  }
   // A refresh closes rows and raises activation bounds across a rank or a
   // bank; dirtying everything keeps that rare case simple.
   if (channel_.nextRefreshDue() <= now &&
@@ -550,56 +853,39 @@ void MemoryController::kick() {
       // so nothing can issue and the pass only needs the wake tick. The
       // batch still forms at the point a pick would have formed it.
       ++wakeOnlyPasses_;
-      forEachServed(reads, writes, [&](const Record& r, int) {
-        ++candidatesEvaluated_;
-        if (r.term != kTickNever) minFuture = std::min(minFuture, earliestOf(r));
-      });
+      minFuture = classWake();
       MB_DCHECK(minFuture > now);
       formBatchIfDue();
     } else {
-      candBuf_.clear();
-      candPos_.clear();
-      forEachServed(reads, writes, [&](const Record& r, int pos) {
-        ++candidatesEvaluated_;
-        if (r.term == kTickNever) return;
-        Candidate c;
-        c.queueIndex = pos >= 0 ? pos : -1;
-        c.id = r.id;
-        c.thread = r.thread;
-        c.arrival = r.arrival;
-        c.earliestIssue = earliestOf(r);
-        c.rowHit = r.next == DramCommand::Read || r.next == DramCommand::Write;
-        candBuf_.push_back(c);
-        candPos_.push_back(pos);
-        if (c.earliestIssue > now) minFuture = std::min(minFuture, c.earliestIssue);
-      });
-      formBatchIfDue();
-
-      // One fused scan yields both the issuable winner and the scheduler's
-      // overall favourite (the priority-gate probe that used to cost a
-      // second full pick() pass).
-      const Scheduler::PickPair pp = scheduler_->pickPair(candBuf_, now);
-      const int pickIdx = pp.issuable;
-      if (pickIdx >= 0) {
+      // A batch formed here orders this pick by the new marks, while the
+      // guard verdicts (class membership) stay the ones computed under the
+      // old marks until the next refresh.
+      if (formBatchIfDue()) rebuildClasses(reads, writes);
+      const Pick pick = pickByKey(now);
+#ifndef NDEBUG
+      checkPick(pick, reads, writes, now);
+#endif
+      if (pick.issuable != kNoSlot) {
         // Priority gate: if the scheduler's overall favourite (ignoring
         // issue readiness) is a different, imminently-ready command, hold
         // the bus for it. Without this, a stream of back-to-back row hits
         // can starve a higher-priority precharge forever: every hit CAS
         // pushes the victim's tRTP window just past "now" again (priority
         // inversion).
-        const int bestIdx = pp.overall;
-        if (bestIdx >= 0 && bestIdx != pickIdx) {
-          const Tick bestAt = candBuf_[static_cast<size_t>(bestIdx)].earliestIssue;
+        if (pick.favouriteKey != pick.issuableKey) {
+          ++candidatesEvaluated_;
+          const Tick bestAt = pick.favouriteAt;
           if (bestAt > now && bestAt - now <= 2 * channel_.timing().tCCD) {
             scheduleKick(bestAt);
             break;
           }
         }
-        issueFor(candPos_[static_cast<size_t>(pickIdx)], now);
+        issueFor(pick.issuable, now);
         // The command bus is now busy for tCMD, so the next pass is
         // wake-only.
         continue;
       }
+      minFuture = classWake();
     }
 
     // No request command issuable now: opportunistically retire one idle
@@ -617,6 +903,7 @@ void MemoryController::kick() {
       if (e <= now) {
         channel_.commitPre(da, ub, now);
         markDirty(ub);
+        ++commandsIssued_;
         if (checker_) checker_->onCommand(DramCommand::Pre, da, now);
         if (cfg_.commandLog) cfg_.commandLog->onCommand(DramCommand::Pre, da, now, -1, -1);
         pendingCloses_.erase(it);
@@ -664,6 +951,8 @@ ControllerStats MemoryController::stats() const {
   s.candidatesEvaluated = candidatesEvaluated_;
   s.candidateRefreshes = candidateRefreshes_;
   s.preBlockVisits = preBlockVisits_;
+  s.noopKicks = noopKicks_;
+  s.commandsIssued = commandsIssued_;
   return s;
 }
 
@@ -714,7 +1003,7 @@ void MemoryController::io(Ar& ar) {
     std::uint64_t n = q.size();
     ar.u64Count(n, 28);
     if constexpr (Ar::kLoading) q.assign(n, {});
-    for (auto& e : q) ioPending(ar, handleOf(e));
+    for (ReqHandle& h : q) ioPending(ar, h);
   };
   ioQueue(readQ_);
   ioQueue(overflowQ_);
@@ -724,10 +1013,20 @@ void MemoryController::io(Ar& ar) {
     if (!ar.ok()) return;
     // The scheduler addresses read-window requests by position.
     std::vector<std::uint64_t> readIds;
-    for (const Record& r : readQ_) readIds.push_back(pool_.ref(r.h).req.id);
+    for (const ReqHandle h : readQ_) readIds.push_back(pool_.ref(h).req.id);
     if (!scheduler_->tracksReadWindow(readIds)) return ar.fail();
-    for (Record& r : readQ_) r = makeRecord(r.h);
-    for (Record& r : writeQ_) r = makeRecord(r.h);
+    recs_.clear();
+    ubHead_.assign(static_cast<std::size_t>(channel_.ubankCount()), -1);
+    for (std::size_t i = 0; i < readQ_.size(); ++i) {
+      Record& r = placeRecord(readQ_[i]);
+      r.marked = scheduler_->requestMarked(static_cast<int>(i));
+      r.threadRank = r.marked ? scheduler_->threadRank(r.thread) : 0;
+    }
+    for (const ReqHandle h : writeQ_) placeRecord(h);
+    queuedOnUb_.assign(static_cast<std::size_t>(channel_.ubankCount()), 0);
+    for (const auto* q : {&readQ_, &writeQ_})
+      for (const ReqHandle h : *q) ++queuedOnUb_[static_cast<std::size_t>(pool_.ref(h).ub)];
+    for (const ReqHandle o : overflowQ_) ++queuedOnUb_[static_cast<std::size_t>(pool_.ref(o).ub)];
     markAllDirty();
   }
 

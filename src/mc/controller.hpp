@@ -6,14 +6,21 @@
 //     resolves any outstanding page-policy speculation for the target μbank,
 //     and wakes the command engine.
 //   - kick() runs arbitration passes until nothing is issuable. Each queued
-//     request has a persistent record (its scheduling fields plus its next
-//     command and that command's μbank timing term, cached). A pass
-//     recomputes only the records whose μbank was dirtied since the last
-//     pass, prices every served record as max(rank floor, μbank term), lets
-//     the scheduler order the candidates and commits the winner. A pass that
+//     request has a persistent record: its scheduling fields, its next
+//     command and that command's μbank timing term, its PAR-BS mark and
+//     thread rank, and its priority key (scheduler.hpp), all cached. A record
+//     keeps one slot while queued and is linked into a list per μbank, so a
+//     pass recomputes only the records on μbanks dirtied since the last pass
+//     and finds them without a sweep of the queues. The served records that may issue are kept in key order per
+//     (rank, command) class, with each class's minimum μbank term; every
+//     record of a class shares the rank's floor for that command. A pass
+//     walks the classes whose floor has passed, merged in key order, and
+//     commits the first record whose term has passed too. A pass that
 //     starts with the command bus busy cannot issue, so it only computes the
-//     wake tick. When nothing is issuable, kick() schedules its own wake-up
-//     at the earliest future candidate (or refresh) time.
+//     wake tick, as does a pass that finds nothing issuable: the minimum
+//     over the classes of max(floor, minimum term). kick() schedules its own
+//     wake-up at that tick (or at the next refresh), and returns at once
+//     when nothing changed since that wake-up was armed.
 //   - After the last column access for a μbank with no pending work, the
 //     page-management policy decides whether to keep the row open, close it
 //     (an idle precharge is queued), or — for the perfect oracle — leave the
@@ -91,11 +98,13 @@ struct ControllerStats {
   std::int64_t refreshes = 0;
   // Host-side arbitration work, deterministic for a given run: kick()
   // calls, passes over the queues, passes that started with the command bus
-  // busy (wake-only: no candidate list, no scheduler scan), PAR-BS batch
-  // formations, served requests priced as candidates, records whose cached
-  // command and timing term were recomputed, and precharge candidates
-  // checked against their μbank's open-row users. Counted since
-  // construction or restore (not checkpointed) and kept out of the report.
+  // busy (wake-only: no pick), PAR-BS batch formations, records priced by
+  // the key-ordered pick walk, records whose cached command and timing term
+  // were recomputed, precharge candidates checked against their μbank's
+  // open-row users, kicks that could change nothing (see kick()), and
+  // commands committed (ACT, PRE and CAS, idle closes included). Counted
+  // since construction or restore (not checkpointed) and kept out of the
+  // report.
   std::int64_t kicks = 0;
   std::int64_t arbPasses = 0;
   std::int64_t wakeOnlyPasses = 0;
@@ -103,6 +112,8 @@ struct ControllerStats {
   std::int64_t candidatesEvaluated = 0;
   std::int64_t candidateRefreshes = 0;
   std::int64_t preBlockVisits = 0;
+  std::int64_t noopKicks = 0;
+  std::int64_t commandsIssued = 0;
 
   double rowHitRate() const {
     const auto total = rowHits + rowMisses + rowConflicts;
@@ -218,7 +229,8 @@ class MB_CHANNEL_LOCAL MemoryController {
     CompletionFn cb;
   };
 
-  void kick();
+  /// One arbitration run at now(); `woken` when the armed wake-up fired.
+  void kick(bool woken = false);
   void scheduleKick(Tick at);
   void armKick(Tick at);
   void onKickEventFired(Tick at);
@@ -230,41 +242,51 @@ class MB_CHANNEL_LOCAL MemoryController {
   /// One queued request; loading allocates its arena slot into `h`.
   template <class Ar> void ioPending(Ar& ar, ReqHandle& h);
   void resolveSpeculation(std::int64_t flat, int ub, std::int64_t incomingRow);
-  void onRequestServiced(int pos, Tick dataEnd);
+  void onRequestServiced(int slot, Tick dataEnd);
   void maybeSpeculate(const core::DramAddress& da, std::int64_t flat, int ub,
                       ThreadId thread);
   void refillVisibleWindow();
 
   /// One queued request as arbitration sees it. The scheduling fields are
   /// copied from the request at admission, so a pass never touches the
-  /// arena; `next` and `term` are cached and recomputed only when the
-  /// request's μbank is dirtied (markDirty).
+  /// arena; `next`, `term` and `key` are cached and recomputed only when the
+  /// request's μbank is dirtied (markDirty), `marked`, `threadRank` and
+  /// `key` also when the batch changes. A record stays in one slot (its
+  /// request's arena index) from admission to service, so the key classes
+  /// and the per-μbank lists name it by slot while the queues shift.
   struct Record {
     ReqHandle h;
     std::uint64_t id = 0;
+    std::uint64_t key = 0;  // priorityKey of the cached fields
     Tick arrival = 0;
     std::int64_t row = 0;
     // ChannelState::ubankTerm(next, ub), or kTickNever while the
-    // anti-row-steal guard holds this request's precharge back.
+    // anti-row-steal guard holds this request's precharge back (or before
+    // the first refresh). A served record is in its key class exactly when
+    // this is not kTickNever.
     Tick term = kTickNever;
     int ub = 0;
     int rank = 0;
     ThreadId thread = 0;
+    int threadRank = 0;   // scheduler_->threadRank(thread) while marked, else 0
     bool write = false;
+    bool marked = false;  // scheduler_->requestMarked(window position)
     DramCommand next = DramCommand::Act;
+    // The other records on this μbank (slots, -1 ends the list).
+    int prevOnUb = -1;
+    int nextOnUb = -1;
   };
-  Record makeRecord(ReqHandle h) const;
-  /// The queued request's arena handle (the snapshot walk's view of a
-  /// queue entry).
-  static ReqHandle& handleOf(ReqHandle& h) { return h; }
-  static ReqHandle& handleOf(Record& r) { return r.h; }
-  /// A record's position: its read-window index (>= 0, also its scheduler
-  /// queue index), or ~i for writeQ_[i].
-  Record& recordAt(int pos) {
-    return pos >= 0 ? readQ_[static_cast<std::size_t>(pos)]
-                    : writeQ_[static_cast<std::size_t>(~pos)];
-  }
-  /// Calls f(record, pos) for every served record, reads first.
+  Record& rec(int slot) { return recs_[static_cast<std::size_t>(slot)]; }
+  const Record& rec(int slot) const { return recs_[static_cast<std::size_t>(slot)]; }
+  static int slotOf(ReqHandle h) { return static_cast<int>(h.idx); }
+  /// Build the record of the request `h` entering the read window or the
+  /// write queue, and link it into its μbank's list.
+  Record& placeRecord(ReqHandle h);
+  /// Unlink a serviced request's record from its μbank's list.
+  void unlinkRecord(const Record& r);
+  /// Calls f(record, pos) for every served record, reads first; `pos` is a
+  /// read's window index (>= 0, also its scheduler queue index), or ~i for
+  /// writeQ_[i].
   template <class F> void forEachServed(bool reads, bool writes, F&& f);
   void markDirty(int ub) {
     if (ubDirty_[static_cast<std::size_t>(ub)] != 0) return;
@@ -272,13 +294,12 @@ class MB_CHANNEL_LOCAL MemoryController {
     dirtyUbs_.push_back(ub);
   }
   void markAllDirty() { allDirty_ = true; }
-  bool dirty(int ub) const {
-    return allDirty_ || ubDirty_[static_cast<std::size_t>(ub)] != 0;
-  }
-  /// Recompute the served records on dirtied μbanks (every record when the
-  /// serve flags changed since the last refresh), then clear the marks.
+  /// Recompute the served records on dirtied μbanks, found through the
+  /// μbanks' record lists (every record when the serve flags changed since
+  /// the last refresh), and move them between key classes, then clear the
+  /// marks.
   void refreshRecords(bool servingReads, bool servingWrites);
-  bool preBlockedByOlderRowUser(const Record& r, int pos) const;
+  bool preBlockedByOlderRowUser(const Record& r) const;
   /// Earliest legal tick of the record's next command, from the rank
   /// floors of the current pass (floors_) and the cached μbank term.
   Tick earliestOf(const Record& r) const {
@@ -286,14 +307,91 @@ class MB_CHANNEL_LOCAL MemoryController {
                            [static_cast<std::size_t>(r.next)],
                     r.term);
   }
+  PriorityFields fieldsOf(const Record& r) const {
+    return PriorityFields{r.marked,
+                          r.next == DramCommand::Read || r.next == DramCommand::Write,
+                          r.threadRank, r.arrival, r.id};
+  }
+  void rekey(Record& r) const { r.key = priorityKey(schedKind_, fieldsOf(r)); }
+
+  /// The served records that may issue (term != kTickNever) of one rank and
+  /// next command, as (key, term, slot) in ascending key order: they share
+  /// the rank's floor for that command, so the first one in key order whose
+  /// term has passed is the class's pick. Keys are unique (they end in the
+  /// request id).
+  struct KeyClass {
+    struct Entry {
+      std::uint64_t key;
+      Tick term;
+      int slot;
+    };
+    static bool byKey(const Entry& a, const Entry& b) { return a.key < b.key; }
+    /// The entry of `key`, or where it would go.
+    std::vector<Entry>::iterator find(std::uint64_t key) {
+      return std::lower_bound(items.begin(), items.end(), Entry{key, 0, 0}, byKey);
+    }
+    std::vector<Entry> items;
+    Tick minTerm = kTickNever;  // over items; recomputed on use when stale
+    bool minStale = false;
+  };
+  int classOf(const Record& r) const { return r.rank * 4 + static_cast<int>(r.next); }
+  Tick floorOf(int cls) const {
+    return floors_[static_cast<std::size_t>(cls / 4)][static_cast<std::size_t>(cls % 4)];
+  }
+  void classInsert(const Record& r);
+  void classErase(int cls, std::uint64_t key, Tick term);
+  /// A record kept its class and key; only its term moved.
+  void classRetime(int cls, std::uint64_t key, Tick oldTerm, Tick term);
+  Tick classMinTerm(KeyClass& c);
+  /// Calls f(index, class) for every non-empty class.
+  template <class F> void forEachClass(F&& f);
+  void setClassBit(std::size_t cls, bool nonEmpty) {
+    const std::uint64_t bit = std::uint64_t{1} << (cls & 63);
+    if (nonEmpty)
+      classBits_[cls >> 6] |= bit;
+    else
+      classBits_[cls >> 6] &= ~bit;
+  }
+  /// Refill every class from the served records' cached fields.
+  void rebuildClasses(bool servingReads, bool servingWrites);
+  /// The earliest tick any classed record may issue: min over the classes
+  /// of max(floor, minimum term).
+  Tick classWake();
+  /// The pass's pick: the first issuable record in key order, as a slot or
+  /// kNoSlot, and the first record overall (the priority gate's favourite)
+  /// as its key and earliest tick.
+  static constexpr int kNoSlot = -1;
+  struct Pick {
+    int issuable = kNoSlot;
+    std::uint64_t issuableKey = 0;
+    std::uint64_t favouriteKey = 0;
+    Tick favouriteAt = kTickNever;
+  };
+  Pick pickByKey(Tick now);
+  /// A pick's position in one class it merges.
+  struct Cursor {
+    const KeyClass::Entry* at;
+    const KeyClass::Entry* end;
+  };
   /// Debug builds: every served record's cache matches a from-scratch
-  /// evaluation against the ChannelState earliest* reference.
+  /// evaluation against the ChannelState earliest* reference, the served
+  /// queue is in id order with non-decreasing arrivals, and the key
+  /// classes hold exactly the served records that may issue.
   void checkRecords(bool servingReads, bool servingWrites, Tick now);
-  /// Form a PAR-BS batch if the last one drained; a new batch changes the
-  /// marks the anti-row-steal guard reads, so every record is dirtied.
-  void formBatchIfDue();
-  /// Commit the record's cached next command; `pos` as in recordAt().
-  void issueFor(int pos, Tick now);
+  /// Debug builds: the pick equals a scan of the served records in queue
+  /// order under prefers() with the scheduler's own marks and ranks.
+  void checkPick(const Pick& pick, bool servingReads, bool servingWrites, Tick now);
+  /// Form a PAR-BS batch if the last one drained, and restamp the read
+  /// window's marks, ranks and keys. A new batch changes the marks the
+  /// anti-row-steal guard reads, so every record is dirtied; the guard
+  /// verdicts (and so the class membership) stay those computed under the
+  /// old marks until the next refresh.
+  bool formBatchIfDue();
+  /// A marked read of `thread` left: restamp its remaining marked reads'
+  /// rank and key, and move them to their new places in their classes.
+  void rerankThread(ThreadId thread);
+  /// Commit the cached next command of the record in `slot`.
+  void issueFor(int slot, Tick now);
   /// Which queues the scheduler is currently drawing candidates from.
   void serveFlags(bool& reads, bool& writes) const;
 
@@ -317,6 +415,8 @@ class MB_CHANNEL_LOCAL MemoryController {
   ChannelState channel_;
   dram::EnergyMeter meter_;
   std::unique_ptr<Scheduler> scheduler_;
+  SchedulerKind schedKind_;
+  MB_SNAP_TRANSIENT(schedKind_, "structural; the configured scheduler's kind");
   std::unique_ptr<core::PagePolicy> policy_;
   std::optional<TimingChecker> checker_;
 
@@ -325,9 +425,15 @@ class MB_CHANNEL_LOCAL MemoryController {
   // no per-request heap allocation (the pool grows to the high-water mark of
   // concurrent requests and is then recycled via its free list).
   RequestArena<Pending> pool_;
-  std::vector<Record> readQ_;  // scheduler-visible reads
+  std::vector<ReqHandle> readQ_;  // scheduler-visible reads
   std::deque<ReqHandle> overflowQ_;
-  std::vector<Record> writeQ_;
+  std::vector<ReqHandle> writeQ_;
+  // The records of the read window and the write queue, by arena slot.
+  std::vector<Record> recs_;
+  MB_SNAP_TRANSIENT(recs_, "derived from the queued requests; load() rebuilds a record per read-window and write-queue entry");
+  // Head slot of each channel-local μbank's record list (-1: none).
+  std::vector<int> ubHead_;
+  MB_SNAP_TRANSIENT(ubHead_, "derived with recs_; load() relinks every record");
   bool drainingWrites_ = false;
 
   // Idle precharges requested by the page policy, keyed by flat μbank id.
@@ -376,12 +482,31 @@ class MB_CHANNEL_LOCAL MemoryController {
   std::uint64_t nextCompletionToken_ = 0;
   // Arbitration scratch, reused across kick() iterations so the hot loop
   // performs no per-iteration vector allocations.
-  std::vector<Candidate> candBuf_;
-  MB_SNAP_TRANSIENT(candBuf_, "per-pass scratch");
-  std::vector<int> candPos_;  // record position (recordAt) per candidate
-  MB_SNAP_TRANSIENT(candPos_, "per-pass scratch");
   std::vector<ChannelState::CommandFloors> floors_;  // per rank, this pass
   MB_SNAP_TRANSIENT(floors_, "per-pass scratch");
+  // A refreshed record's slot and the class entry it had.
+  struct Touched {
+    int slot;
+    bool inClass;
+    int cls;
+    std::uint64_t key;
+    Tick term;
+  };
+  std::vector<Touched> touched_;
+  MB_SNAP_TRANSIENT(touched_, "per-refresh scratch");
+  // Key classes, indexed rank * 4 + command (see KeyClass).
+  std::vector<KeyClass> classes_;
+  MB_SNAP_TRANSIENT(classes_, "derived from the records by each refresh; load() dirties every μbank");
+  // One bit per class, set while it holds a record.
+  std::vector<std::uint64_t> classBits_;
+  MB_SNAP_TRANSIENT(classBits_, "derived with classes_");
+  std::vector<Cursor> cursors_;  // one per class, for pickByKey
+  MB_SNAP_TRANSIENT(cursors_, "per-pass scratch");
+  // Queued requests (read window, overflow and write queue) per
+  // channel-local μbank: the page policy speculates only on a μbank with
+  // none left.
+  std::vector<int> queuedOnUb_;
+  MB_SNAP_TRANSIENT(queuedOnUb_, "derived from the queues; load() recounts it");
   // Dirty μbanks: a record's cached command and term are stale once its
   // μbank saw a commit, a refresh, a lazy resolution, an enqueue or a
   // dequeue; a serve-flag flip or a batch formation dirties every μbank.
@@ -432,6 +557,10 @@ class MB_CHANNEL_LOCAL MemoryController {
   MB_SNAP_TRANSIENT(candidateRefreshes_, "host-work counter; counts from construction or restore, outside the report");
   std::int64_t preBlockVisits_ = 0;
   MB_SNAP_TRANSIENT(preBlockVisits_, "host-work counter; counts from construction or restore, outside the report");
+  std::int64_t noopKicks_ = 0;
+  MB_SNAP_TRANSIENT(noopKicks_, "host-work counter; counts from construction or restore, outside the report");
+  std::int64_t commandsIssued_ = 0;
+  MB_SNAP_TRANSIENT(commandsIssued_, "host-work counter; counts from construction or restore, outside the report");
 };
 
 }  // namespace mb::mc

@@ -26,76 +26,25 @@ std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind) {
   return nullptr;
 }
 
-namespace {
-
-// One forward scan computing the best candidate under `better` for a single
-// earliestIssue filter. `better(c, b)` must be a strict "c beats the current
-// best b" predicate; ties keep the earlier index, exactly as the historical
-// per-scheduler loops did.
-template <typename Better>
-int scanBest(const std::vector<Candidate>& cands, Tick now, Better better) {
-  int best = -1;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    const auto& c = cands[i];
-    if (c.earliestIssue > now) continue;
-    if (best < 0 || better(c, cands[static_cast<size_t>(best)]))
-      best = static_cast<int>(i);
+bool prefers(SchedulerKind kind, const PriorityFields& a, const PriorityFields& b) {
+  switch (kind) {
+    case SchedulerKind::Fcfs: return a.arrival < b.arrival;
+    case SchedulerKind::FrFcfs:
+      return a.rowHit != b.rowHit ? a.rowHit : a.arrival < b.arrival;
+    case SchedulerKind::ParBs:
+      if (a.marked != b.marked) return a.marked;
+      if (a.rowHit != b.rowHit) return a.rowHit;
+      // Ranks are meaningful (and compared) only when both are marked.
+      // Lower rank is better.
+      if (a.marked && a.threadRank != b.threadRank) return a.threadRank < b.threadRank;
+      return a.arrival < b.arrival;
   }
-  return best;
+  return false;
 }
 
-// Fused variant of the controller's double pick: one scan maintaining both
-// the issuable best (earliestIssue <= now) and the overall best under the
-// gate horizon. Since both running bests use the same predicate and see the
-// candidates in the same order, the result is index-identical to two
-// independent scanBest calls.
-template <typename Better>
-Scheduler::PickPair scanPair(const std::vector<Candidate>& cands, Tick now,
-                             Better better) {
-  Scheduler::PickPair p;
-  constexpr Tick kHorizon = kTickNever / 2;
-  const Candidate* bestOverall = nullptr;
-  const Candidate* bestIssuable = nullptr;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    const auto& c = cands[i];
-    if (c.earliestIssue > kHorizon) continue;
-    if (bestOverall == nullptr || better(c, *bestOverall)) {
-      bestOverall = &c;
-      p.overall = static_cast<int>(i);
-    }
-    if (c.earliestIssue > now) continue;
-    if (bestIssuable == nullptr || better(c, *bestIssuable)) {
-      bestIssuable = &c;
-      p.issuable = static_cast<int>(i);
-    }
-  }
-  return p;
-}
-
-bool fcfsBetter(const Candidate& c, const Candidate& b) {
-  return c.arrival < b.arrival;
-}
-
-bool frFcfsBetter(const Candidate& c, const Candidate& b) {
-  return c.rowHit != b.rowHit ? c.rowHit : c.arrival < b.arrival;
-}
-
-}  // namespace
-
-int FcfsScheduler::pick(std::vector<Candidate>& cands, Tick now) {
-  return scanBest(cands, now, fcfsBetter);
-}
-
-Scheduler::PickPair FcfsScheduler::pickPair(std::vector<Candidate>& cands, Tick now) {
-  return scanPair(cands, now, fcfsBetter);
-}
-
-int FrFcfsScheduler::pick(std::vector<Candidate>& cands, Tick now) {
-  return scanBest(cands, now, frFcfsBetter);
-}
-
-Scheduler::PickPair FrFcfsScheduler::pickPair(std::vector<Candidate>& cands, Tick now) {
-  return scanPair(cands, now, frFcfsBetter);
+ParBsScheduler::ParBsScheduler(int markingCap) : markingCap_(markingCap) {
+  // A thread's rank is at most the cap, and must fit its key field.
+  MB_CHECK(markingCap > 0 && markingCap < (1 << kKeyThreadRankBits));
 }
 
 void ParBsScheduler::onEnqueue(const MemRequest& req) {
@@ -103,16 +52,14 @@ void ParBsScheduler::onEnqueue(const MemRequest& req) {
   queueView_.push_back(QueueEntry{req.id, req.thread, req.arrival});
 }
 
-void ParBsScheduler::onDequeue(const MemRequest& req) {
-  for (size_t i = 0; i < queueView_.size(); ++i) {
-    if (queueView_[i].id != req.id) continue;
-    if (queueView_[i].marked) {
-      --markedPerThread_[static_cast<std::size_t>(queueView_[i].thread)];
-      --markedCount_;
-    }
-    queueView_.erase(queueView_.begin() + static_cast<std::ptrdiff_t>(i));
-    return;
+void ParBsScheduler::onDequeue(int queueIndex, [[maybe_unused]] std::uint64_t requestId) {
+  const auto at = queueView_.begin() + queueIndex;
+  MB_DCHECK(at->id == requestId);
+  if (at->marked) {
+    --markedPerThread_[static_cast<std::size_t>(at->thread)];
+    --markedCount_;
   }
+  queueView_.erase(at);
 }
 
 bool ParBsScheduler::isMarked(std::uint64_t requestId) const {
@@ -154,42 +101,6 @@ bool ParBsScheduler::formBatchIfDue() {
   formBatch();
   return true;
 }
-
-void ParBsScheduler::prepareBatch(std::vector<Candidate>& cands) {
-  formBatchIfDue();
-  for (auto& c : cands) {
-    MB_DCHECK(c.queueIndex < 0 ||
-              queueView_[static_cast<std::size_t>(c.queueIndex)].id == c.id);
-    c.marked = c.queueIndex >= 0 && requestMarked(c.queueIndex);
-    // Thread rank: shortest job (fewest marked requests) first. Stamped
-    // here once per candidate; the selection predicate below only ever
-    // compares ranks between two marked candidates, and the counts are
-    // constant between here and the scan.
-    c.rank = c.marked ? markedPerThread_[static_cast<std::size_t>(c.thread)] : 0;
-  }
-}
-
-namespace {
-bool parBsBetter(const Candidate& c, const Candidate& b) {
-  if (c.marked != b.marked) return c.marked;
-  if (c.rowHit != b.rowHit) return c.rowHit;
-  // Both marked or both unmarked here; ranks are meaningful (and compared)
-  // only in the both-marked case. Lower rank is better.
-  if (c.marked && c.rank != b.rank) return c.rank < b.rank;
-  return c.arrival < b.arrival;
-}
-}  // namespace
-
-int ParBsScheduler::pick(std::vector<Candidate>& cands, Tick now) {
-  prepareBatch(cands);
-  return scanBest(cands, now, parBsBetter);
-}
-
-Scheduler::PickPair ParBsScheduler::pickPair(std::vector<Candidate>& cands, Tick now) {
-  prepareBatch(cands);
-  return scanPair(cands, now, parBsBetter);
-}
-
 
 // ---- Serializable protocol -----------------------------------------------
 //

@@ -1,15 +1,18 @@
 // Memory-access schedulers.
 //
-// The controller evaluates, for every queued request, the next DRAM command
-// it needs and that command's earliest legal issue tick, then asks the
-// scheduler to order the candidates. Three policies are provided:
+// The controller keeps each queued request's next DRAM command and that
+// command's timing cached in a record, and keeps the served records sorted
+// by one packed priority key (priorityKey below; lower is served first).
+// The scheduler decides that order. Three policies are provided:
 //   - FCFS:    strictly oldest first.
 //   - FR-FCFS: column-ready (row hit) first, then oldest (Rixner et al.).
 //   - PAR-BS:  parallelism-aware batch scheduling (Mutlu & Moscibroda, the
 //     paper's default, §VI-A): form a batch by marking up to `markingCap`
-//     oldest requests per thread; marked requests beat unmarked; within the
-//     marked set, threads are ranked shortest-job-first (fewest marked
-//     requests); row hits break remaining ties, then age.
+//     oldest requests per thread; marked requests beat unmarked; row hits
+//     break ties, then, within the marked set, threads are ranked
+//     shortest-job-first (fewest marked requests), then age.
+// The orders differ only in their key function; the PAR-BS scheduler object
+// also keeps the batch (which requests are marked, and each thread's rank).
 #pragma once
 
 #include <cstdint>
@@ -28,63 +31,63 @@ enum class SchedulerKind { Fcfs, FrFcfs, ParBs };
 
 std::string schedulerKindName(SchedulerKind kind);
 
-/// Per-request information the controller hands to the scheduler.
-struct Candidate {
-  // Position of the request in the scheduler-visible read window, which is
-  // also its position in the scheduler's queue view (both are appended and
-  // erased together); -1 for a write. PAR-BS reads the request's batch mark
-  // through it.
-  int queueIndex = -1;
-  std::uint64_t id = 0;  // the request's id (debug builds check it against queueIndex)
-  ThreadId thread = 0;
+/// What the schedulers order a queued request by.
+struct PriorityFields {
+  bool marked = false;  // in the current PAR-BS batch
+  bool rowHit = false;  // next command is a CAS to the already-open row
+  int threadRank = 0;   // PAR-BS shortest-job-first rank; read only when marked
   Tick arrival = 0;
-  Tick earliestIssue = 0;  // earliest tick the next command may issue
-  bool rowHit = false;     // next command is a CAS to an already-open row
-  bool marked = false;     // filled by PAR-BS batching
-  // Shortest-job-first thread rank (marked requests outstanding for the
-  // candidate's thread), stamped by PAR-BS batch upkeep alongside `marked`
-  // so the selection scan compares plain fields. Constant during one scan:
-  // the per-thread counts only change at batch formation and dequeue.
-  int rank = 0;
+  std::uint64_t id = 0;
 };
 
+/// The schedulers' pairwise order: true when `a` is strictly preferred over
+/// `b`. Ties keep the request seen first, so a scan in queue order picks the
+/// first of equals. This is the reference the packed keys must reproduce.
+bool prefers(SchedulerKind kind, const PriorityFields& a, const PriorityFields& b);
+
+/// Request ids and PAR-BS thread ranks must fit their key fields.
+inline constexpr int kKeyIdBits = 48;
+inline constexpr int kKeyThreadRankBits = 14;
+inline constexpr std::uint64_t kKeyIdMask = (std::uint64_t{1} << kKeyIdBits) - 1;
+
+/// The order as one key, lower first. Layout, MSB to LSB: [not marked:1]
+/// [not a row hit:1][thread rank:14][request id:48]; FCFS uses only the id,
+/// FR-FCFS the row-hit bit and the id. Age is the id: the controller keys
+/// only the requests of one queue at a time, whose ids increase in queue
+/// order while their arrival ticks never decrease, so id order is age order
+/// with equal arrivals kept in queue order, exactly as prefers() resolves
+/// them.
+inline std::uint64_t priorityKey(SchedulerKind kind, const PriorityFields& f) {
+  std::uint64_t k = f.id & kKeyIdMask;
+  if (kind == SchedulerKind::Fcfs) return k;
+  if (!f.rowHit) k |= std::uint64_t{1} << 62;
+  if (kind == SchedulerKind::FrFcfs) return k;
+  if (f.marked)
+    k |= static_cast<std::uint64_t>(f.threadRank) << kKeyIdBits;
+  else
+    k |= std::uint64_t{1} << 63;
+  return k;
+}
+
+/// Batch state behind the order. FCFS and FR-FCFS have none.
 class MB_CHANNEL_LOCAL Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Choose among candidates whose earliestIssue <= now. Returns the index
-  /// into `cands` of the winner, or -1 if no candidate is issuable at `now`.
-  virtual int pick(std::vector<Candidate>& cands, Tick now) = 0;
-
-  /// Both halves of the controller's priority gate from one scan:
-  /// `issuable` is pick(cands, now); `overall` is the favourite ignoring
-  /// issue readiness, i.e. pick(cands, kTickNever / 2) — the horizon the
-  /// gate has always used as "infinitely far in the future". The base
-  /// implementation literally makes those two calls (it doubles as the
-  /// reference for the fused overrides in scheduler_test.cpp); concrete
-  /// schedulers override with a single fused scan that is guaranteed to
-  /// return identical indices, because both scans walk the candidates in
-  /// the same order with the same strict-preference predicate.
-  struct PickPair {
-    int issuable = -1;
-    int overall = -1;
-  };
-  virtual PickPair pickPair(std::vector<Candidate>& cands, Tick now) {
-    PickPair p;
-    p.issuable = pick(cands, now);
-    p.overall = pick(cands, kTickNever / 2);
-    return p;
-  }
-
-  /// Notify batching state: request entered / left the queue.
+  /// A read entered / left the read window. The queue view is appended and
+  /// erased with the window, so a read's window position is its index here.
   virtual void onEnqueue(const MemRequest&) {}
-  virtual void onDequeue(const MemRequest&) {}
+  virtual void onDequeue(int /*queueIndex*/, std::uint64_t /*requestId*/) {}
 
-  /// True when the read at `queueIndex` in the read window (see
-  /// Candidate::queueIndex) belongs to the scheduler's current priority
-  /// batch (PAR-BS marking); the controller's anti-row-steal guard lets a
-  /// marked request precharge over unmarked older row users.
+  /// True when the read at `queueIndex` in the read window belongs to the
+  /// scheduler's current priority batch (PAR-BS marking); the controller's
+  /// anti-row-steal guard lets a marked request precharge over unmarked
+  /// older row users.
   virtual bool requestMarked(int /*queueIndex*/) const { return false; }
+  /// Shortest-job-first rank of a thread with marked requests: its number
+  /// of marked requests. Changes only when a batch forms or one of the
+  /// thread's marked requests leaves.
+  virtual int threadRank(ThreadId /*thread*/) const { return 0; }
 
   /// True when the scheduler's per-request state lines up with the read
   /// window `readIds` (request ids in window order). A restored controller
@@ -93,17 +96,15 @@ class MB_CHANNEL_LOCAL Scheduler {
     return true;
   }
 
-  /// True when the next pick would (re)form a priority batch, i.e. calling
-  /// the scheduler is itself a state change. The controller's batched-
-  /// admission fast path must fall back to a full arbitration pass in that
-  /// case: batch membership depends on the queue contents at formation
-  /// time, so deferring the pick would mark a different set.
+  /// True when the next arbitration pass would (re)form a priority batch.
+  /// The controller's batched-admission fast path must fall back to a full
+  /// arbitration pass in that case: batch membership depends on the queue
+  /// contents at formation time, so deferring the pass would mark a
+  /// different set.
   virtual bool wouldFormBatch() const { return false; }
 
   /// Form a new priority batch now if wouldFormBatch(); returns whether it
-  /// did. pick()/pickPair() do this first, so a caller only needs it on a
-  /// pass that skips the pick (the controller's wake-only passes) or to
-  /// learn that the marks changed.
+  /// did (the marks and ranks changed).
   virtual bool formBatchIfDue() { return false; }
 
   virtual SchedulerKind kind() const = 0;
@@ -123,26 +124,20 @@ std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind);
 
 class MB_CHANNEL_LOCAL FcfsScheduler final : public Scheduler {
  public:
-  int pick(std::vector<Candidate>& cands, Tick now) override;
-  PickPair pickPair(std::vector<Candidate>& cands, Tick now) override;
   SchedulerKind kind() const override { return SchedulerKind::Fcfs; }
 };
 
 class MB_CHANNEL_LOCAL FrFcfsScheduler final : public Scheduler {
  public:
-  int pick(std::vector<Candidate>& cands, Tick now) override;
-  PickPair pickPair(std::vector<Candidate>& cands, Tick now) override;
   SchedulerKind kind() const override { return SchedulerKind::FrFcfs; }
 };
 
 class MB_CHANNEL_LOCAL ParBsScheduler final : public Scheduler {
  public:
-  explicit ParBsScheduler(int markingCap = 5) : markingCap_(markingCap) {}
+  explicit ParBsScheduler(int markingCap = 5);
 
-  int pick(std::vector<Candidate>& cands, Tick now) override;
-  PickPair pickPair(std::vector<Candidate>& cands, Tick now) override;
   void onEnqueue(const MemRequest& req) override;
-  void onDequeue(const MemRequest& req) override;
+  void onDequeue(int queueIndex, std::uint64_t requestId) override;
   SchedulerKind kind() const override { return SchedulerKind::ParBs; }
 
   /// Thread ids index a dense per-thread table, so a request (or a restored
@@ -156,6 +151,9 @@ class MB_CHANNEL_LOCAL ParBsScheduler final : public Scheduler {
   bool requestMarked(int queueIndex) const override {
     return queueView_[static_cast<std::size_t>(queueIndex)].marked;
   }
+  int threadRank(ThreadId thread) const override {
+    return markedPerThread_[static_cast<std::size_t>(thread)];
+  }
   bool tracksReadWindow(const std::vector<std::uint64_t>& readIds) const override;
   bool wouldFormBatch() const override {
     return markedCount_ == 0 && !queueView_.empty();
@@ -167,15 +165,12 @@ class MB_CHANNEL_LOCAL ParBsScheduler final : public Scheduler {
  private:
   template <class Ar> void io(Ar& ar);
   void formBatch();
-  /// Batch upkeep shared by pick()/pickPair(): formBatchIfDue(), then stamp
-  /// each candidate's `marked` flag and rank.
-  void prepareBatch(std::vector<Candidate>& cands);
 
   int markingCap_;
   // Controller-visible ids/threads/arrivals of everything in the read
   // window, in window order, so batch formation can mark the oldest per
-  // thread. The batch mark lives on the entry: a candidate reads it through
-  // its queueIndex with no lookup.
+  // thread. The batch mark lives on the entry, so a read's window position
+  // reaches it with no lookup.
   struct QueueEntry {
     std::uint64_t id = 0;
     ThreadId thread = 0;

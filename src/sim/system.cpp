@@ -639,6 +639,8 @@ RunResult runSimulation(const SystemConfig& cfg, const WorkloadSpec& workload,
     r.mcCandidatesEvaluated += s.candidatesEvaluated;
     r.mcCandidateRefreshes += s.candidateRefreshes;
     r.mcPreBlockVisits += s.preBlockVisits;
+    r.mcNoopKicks += s.noopKicks;
+    r.mcCommandsIssued += s.commandsIssued;
   }
   r.rowHitRate = rowTotal == 0 ? 0.0
                                : static_cast<double>(rowHits) / static_cast<double>(rowTotal);

@@ -112,7 +112,7 @@ struct RunResult {
 
   // Host-side observability (mbperf): events the queue dispatched during
   // this run, and the memory controllers' arbitration work summed over
-  // channels (mc::ControllerStats::kicks and the six after it).
+  // channels (mc::ControllerStats::kicks and the eight after it).
   // Deliberately NOT part of the canonical JSON report — they measure the
   // host's work, not the simulated machine, and the golden-identity corpus
   // hashes the report.
@@ -124,6 +124,8 @@ struct RunResult {
   std::int64_t mcCandidatesEvaluated = 0;
   std::int64_t mcCandidateRefreshes = 0;
   std::int64_t mcPreBlockVisits = 0;
+  std::int64_t mcNoopKicks = 0;
+  std::int64_t mcCommandsIssued = 0;
 };
 
 /// Derive the DRAM geometry a SystemConfig implies.

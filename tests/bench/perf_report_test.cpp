@@ -56,6 +56,8 @@ PresetPerf samplePerf(std::string name) {
   p.candidatesEvaluated = 9100;
   p.candidateRefreshes = 1200;
   p.preBlockVisits = 9300;
+  p.noopKicks = 170;
+  p.commandsIssued = 2600;
   return p;
 }
 
@@ -90,6 +92,7 @@ TEST(PerfReportTest, RecordShapeCarriesAllFields) {
         "\"kicks\":400", "\"arbPasses\":700", "\"wakeOnlyPasses\":300",
         "\"batchFormations\":60", "\"candidatesEvaluated\":9100",
         "\"candidateRefreshes\":1200", "\"preBlockVisits\":9300",
+        "\"noopKicks\":170", "\"commandsIssued\":2600",
         "\"totals\":", "\"peakRssKiB\":81920"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing:\n" << json;
   }

@@ -391,6 +391,37 @@ TEST_F(ControllerTest, KickBookkeepingStaysBoundedUnderIdleThenBurst) {
   EXPECT_LE(maxLive, 6u);
 }
 
+// commandsIssued counts every committed ACT, PRE and CAS; under the open
+// policy there are no idle closes, so that is every command the trace sees.
+TEST_F(ControllerTest, CommandsIssuedCountsEveryCommit) {
+  build();
+  std::int64_t traced = 0;
+  mc_->commandTrace = [&](DramCommand, const core::DramAddress&, Tick) { ++traced; };
+  for (int i = 0; i < 24; ++i) read(bankAddr(i % 3, i % 5));
+  for (int i = 0; i < 8; ++i) write(bankAddr(4, i));
+  eq_.run();
+  ASSERT_GT(traced, 24);
+  EXPECT_EQ(mc_->stats().commandsIssued, traced);
+}
+
+// A read admitted to the overflow FIFO changes nothing arbitration sees, so
+// its kick, before the armed wake-up, is counted as a no-op and skipped;
+// the request is still served once it enters the window.
+TEST_F(ControllerTest, OverflowAdmissionBeforeTheWakeIsANoopKick) {
+  build();
+  const int depth = ControllerConfig{}.queueDepth;
+  for (int i = 0; i < depth; ++i) read(bankAddr(i % 8, i / 8));
+  ASSERT_FALSE(mc_->pendingKickEvents().empty());
+  ASSERT_GT(mc_->pendingKickEvents().front().at, 1);
+  std::optional<size_t> late;
+  eq_.scheduleAt(1, [&] { late = read(bankAddr(0, 100)); });
+  eq_.run();
+  EXPECT_EQ(mc_->stats().noopKicks, 1);
+  ASSERT_TRUE(late.has_value());
+  for (const Tick t : done_) EXPECT_GT(t, 0);
+  EXPECT_EQ(mc_->outstanding(), 0);
+}
+
 TEST_F(ControllerTest, KickAndCompletionStateSurviveCheckpointRoundTrip) {
   build();
   for (int i = 0; i < 6; ++i) read(rowAddr(i));  // conflicting rows → wake-ups

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "ckpt/serialize.hpp"
 #include "snapshot_forge.hpp"
@@ -10,24 +11,48 @@
 namespace mb::mc {
 namespace {
 
-Candidate cand(int idx, std::uint64_t id, ThreadId thread, Tick arrival, Tick earliest,
-               bool rowHit) {
-  Candidate c;
-  c.queueIndex = idx;
-  c.id = id;
-  c.thread = thread;
-  c.arrival = arrival;
-  c.earliestIssue = earliest;
-  c.rowHit = rowHit;
-  return c;
-}
-
 MemRequest req(std::uint64_t id, ThreadId thread, Tick arrival) {
   MemRequest r;
   r.id = id;
   r.thread = thread;
   r.arrival = arrival;
   return r;
+}
+
+PriorityFields fields(std::uint64_t id, Tick arrival, bool rowHit, bool marked = false,
+                      int threadRank = 0) {
+  PriorityFields f;
+  f.id = id;
+  f.arrival = arrival;
+  f.rowHit = rowHit;
+  f.marked = marked;
+  f.threadRank = marked ? threadRank : 0;
+  return f;
+}
+
+/// Index of the request a scheduler serves first: the lowest key.
+int firstByKey(SchedulerKind kind, const std::vector<PriorityFields>& q) {
+  int best = -1;
+  for (std::size_t i = 0; i < q.size(); ++i)
+    if (best < 0 || priorityKey(kind, q[i]) < priorityKey(kind, q[static_cast<std::size_t>(best)]))
+      best = static_cast<int>(i);
+  return best;
+}
+
+/// The same choice as a scan in queue order under the pairwise order.
+int firstByScan(SchedulerKind kind, const std::vector<PriorityFields>& q) {
+  int best = -1;
+  for (std::size_t i = 0; i < q.size(); ++i)
+    if (best < 0 || prefers(kind, q[i], q[static_cast<std::size_t>(best)]))
+      best = static_cast<int>(i);
+  return best;
+}
+
+/// A request's fields as the PAR-BS scheduler currently stamps them.
+PriorityFields stamped(const ParBsScheduler& s, int queueIndex, std::uint64_t id,
+                       ThreadId thread, Tick arrival, bool rowHit) {
+  const bool marked = s.requestMarked(queueIndex);
+  return fields(id, arrival, rowHit, marked, marked ? s.threadRank(thread) : 0);
 }
 
 TEST(SchedulerFactory, CreatesAllKinds) {
@@ -39,83 +64,53 @@ TEST(SchedulerFactory, CreatesAllKinds) {
   }
 }
 
-TEST(Fcfs, PicksOldestIssuable) {
-  FcfsScheduler s;
-  std::vector<Candidate> cands{
-      cand(0, 1, 0, 100, 0, true),
-      cand(1, 2, 0, 50, 0, false),
-      cand(2, 3, 0, 75, 0, true),
-  };
-  EXPECT_EQ(s.pick(cands, 0), 1);
-}
-
-TEST(Fcfs, SkipsFutureCandidates) {
-  FcfsScheduler s;
-  std::vector<Candidate> cands{
-      cand(0, 1, 0, 10, 500, false),
-      cand(1, 2, 0, 90, 0, false),
-  };
-  EXPECT_EQ(s.pick(cands, 100), 1);
-}
-
-TEST(Fcfs, ReturnsMinusOneWhenNothingIssuable) {
-  FcfsScheduler s;
-  std::vector<Candidate> cands{cand(0, 1, 0, 10, 500, false)};
-  EXPECT_EQ(s.pick(cands, 100), -1);
-  EXPECT_EQ(s.pick(cands, 500), 0);
+TEST(Fcfs, PicksOldest) {
+  const std::vector<PriorityFields> q{fields(1, 50, true), fields(2, 75, false),
+                                      fields(3, 100, true)};
+  EXPECT_EQ(firstByKey(SchedulerKind::Fcfs, q), 0);
+  EXPECT_EQ(firstByScan(SchedulerKind::Fcfs, q), 0);
 }
 
 TEST(FrFcfs, PrefersRowHitOverAge) {
-  FrFcfsScheduler s;
-  std::vector<Candidate> cands{
-      cand(0, 1, 0, 10, 0, false),  // older conflict
-      cand(1, 2, 0, 90, 0, true),   // younger hit
-  };
-  EXPECT_EQ(s.pick(cands, 100), 1);
+  const std::vector<PriorityFields> q{fields(1, 10, false), fields(2, 90, true)};
+  EXPECT_EQ(firstByKey(SchedulerKind::FrFcfs, q), 1);
+  EXPECT_EQ(firstByScan(SchedulerKind::FrFcfs, q), 1);
 }
 
 TEST(FrFcfs, AgeBreaksTiesAmongHits) {
-  FrFcfsScheduler s;
-  std::vector<Candidate> cands{
-      cand(0, 1, 0, 90, 0, true),
-      cand(1, 2, 0, 10, 0, true),
-  };
-  EXPECT_EQ(s.pick(cands, 100), 1);
+  const std::vector<PriorityFields> q{fields(1, 10, true), fields(2, 90, true)};
+  EXPECT_EQ(firstByKey(SchedulerKind::FrFcfs, q), 0);
+  EXPECT_EQ(firstByScan(SchedulerKind::FrFcfs, q), 0);
 }
 
 TEST(ParBs, MarkedBeatsUnmarkedRowHit) {
   ParBsScheduler s(/*markingCap=*/1);
   // Queue: thread 0 has an old request (gets marked), thread 1's second
   // request arrives after batch formation and is unmarked.
-  const auto r1 = req(1, 0, 10);
-  s.onEnqueue(r1);
-  std::vector<Candidate> round1{cand(0, 1, 0, 10, 0, false)};
-  EXPECT_EQ(s.pick(round1, 100), 0);  // forms batch, picks marked
+  s.onEnqueue(req(1, 0, 10));
+  EXPECT_TRUE(s.formBatchIfDue());
   EXPECT_TRUE(s.isMarked(1));
 
-  const auto r2 = req(2, 1, 20);
-  s.onEnqueue(r2);
-  std::vector<Candidate> round2{
-      cand(0, 1, 0, 10, 0, false),  // marked conflict
-      cand(1, 2, 1, 20, 0, true),   // unmarked hit
+  s.onEnqueue(req(2, 1, 20));
+  EXPECT_FALSE(s.formBatchIfDue());
+  const std::vector<PriorityFields> q{
+      stamped(s, 0, 1, 0, 10, false),  // marked conflict
+      stamped(s, 1, 2, 1, 20, true),   // unmarked hit
   };
-  EXPECT_EQ(s.pick(round2, 100), 0);
+  EXPECT_EQ(firstByKey(SchedulerKind::ParBs, q), 0);
+  EXPECT_EQ(firstByScan(SchedulerKind::ParBs, q), 0);
 }
 
 TEST(ParBs, NewBatchFormsWhenMarkedDrains) {
   ParBsScheduler s(2);
-  const auto r1 = req(1, 0, 10);
-  s.onEnqueue(r1);
-  std::vector<Candidate> c1{cand(0, 1, 0, 10, 0, false)};
-  (void)s.pick(c1, 100);
+  s.onEnqueue(req(1, 0, 10));
+  EXPECT_TRUE(s.formBatchIfDue());
   EXPECT_TRUE(s.isMarked(1));
-  s.onDequeue(r1);
+  s.onDequeue(0, 1);
   EXPECT_FALSE(s.isMarked(1));
 
-  const auto r2 = req(2, 1, 20);
-  s.onEnqueue(r2);
-  std::vector<Candidate> c2{cand(0, 2, 1, 20, 0, false)};
-  (void)s.pick(c2, 100);
+  s.onEnqueue(req(2, 1, 20));
+  EXPECT_TRUE(s.formBatchIfDue());
   EXPECT_TRUE(s.isMarked(2));
 }
 
@@ -130,7 +125,7 @@ TEST(ParBs, FormBatchIfDueFormsOnlyWhenTheLastBatchDrained) {
   s.onEnqueue(req(2, 0, 20));
   EXPECT_FALSE(s.formBatchIfDue());  // the batch still holds request 1
   EXPECT_FALSE(s.isMarked(2));
-  s.onDequeue(r1);
+  s.onDequeue(0, 1);
   EXPECT_TRUE(s.formBatchIfDue());
   EXPECT_TRUE(s.isMarked(2));
 
@@ -139,51 +134,60 @@ TEST(ParBs, FormBatchIfDueFormsOnlyWhenTheLastBatchDrained) {
   EXPECT_FALSE(plain.formBatchIfDue());
 }
 
+// A dequeue names the request by its window position; the rank of its
+// thread drops with it.
+TEST(ParBs, DequeueByPositionKeepsTheOtherEntries) {
+  ParBsScheduler s(5);
+  for (std::uint64_t i = 1; i <= 3; ++i) s.onEnqueue(req(i, 0, static_cast<Tick>(i)));
+  s.onEnqueue(req(4, 1, 4));
+  ASSERT_TRUE(s.formBatchIfDue());
+  EXPECT_EQ(s.threadRank(0), 3);
+  EXPECT_EQ(s.threadRank(1), 1);
+  s.onDequeue(1, 2);
+  EXPECT_EQ(s.threadRank(0), 2);
+  EXPECT_TRUE(s.tracksReadWindow({1, 3, 4}));
+  EXPECT_TRUE(s.isMarked(1));
+  EXPECT_TRUE(s.isMarked(3));
+  EXPECT_FALSE(s.isMarked(2));
+}
+
 TEST(ParBs, MarkingCapLimitsPerThread) {
   ParBsScheduler s(2);
   for (std::uint64_t i = 1; i <= 5; ++i) s.onEnqueue(req(i, 0, static_cast<Tick>(i)));
-  std::vector<Candidate> cands;
-  for (std::uint64_t i = 1; i <= 5; ++i)
-    cands.push_back(cand(static_cast<int>(i - 1), i, 0, static_cast<Tick>(i), 0, false));
-  (void)s.pick(cands, 100);
+  ASSERT_TRUE(s.formBatchIfDue());
   int marked = 0;
   for (std::uint64_t i = 1; i <= 5; ++i) marked += s.isMarked(i) ? 1 : 0;
   EXPECT_EQ(marked, 2);
   EXPECT_TRUE(s.isMarked(1));  // oldest first
   EXPECT_TRUE(s.isMarked(2));
+  EXPECT_EQ(s.threadRank(0), 2);
 }
 
 TEST(ParBs, ShortestJobThreadRankedFirst) {
   ParBsScheduler s(5);
   // Thread 0: three requests; thread 1: one request. All arrive before the
   // batch forms; thread 1 (fewer marked) should be served first among
-  // equally-old, equally-row-state candidates.
+  // equally-old, equally-row-state requests.
   for (std::uint64_t i = 1; i <= 3; ++i) s.onEnqueue(req(i, 0, 10));
   s.onEnqueue(req(4, 1, 10));
-  std::vector<Candidate> cands{
-      cand(0, 1, 0, 10, 0, false),
-      cand(1, 2, 0, 10, 0, false),
-      cand(2, 3, 0, 10, 0, false),
-      cand(3, 4, 1, 10, 0, false),
-  };
-  EXPECT_EQ(s.pick(cands, 100), 3);
+  ASSERT_TRUE(s.formBatchIfDue());
+  std::vector<PriorityFields> q;
+  for (int i = 0; i < 3; ++i)
+    q.push_back(stamped(s, i, static_cast<std::uint64_t>(i) + 1, 0, 10, false));
+  q.push_back(stamped(s, 3, 4, 1, 10, false));
+  EXPECT_EQ(firstByKey(SchedulerKind::ParBs, q), 3);
+  EXPECT_EQ(firstByScan(SchedulerKind::ParBs, q), 3);
 }
 
 TEST(ParBs, RowHitStillWinsWithinBatch) {
   ParBsScheduler s(5);
   s.onEnqueue(req(1, 0, 10));
   s.onEnqueue(req(2, 0, 20));
-  std::vector<Candidate> cands{
-      cand(0, 1, 0, 10, 0, false),
-      cand(1, 2, 0, 20, 0, true),
-  };
-  EXPECT_EQ(s.pick(cands, 100), 1);
-}
-
-TEST(ParBs, EmptyCandidatesReturnsMinusOne) {
-  ParBsScheduler s;
-  std::vector<Candidate> cands;
-  EXPECT_EQ(s.pick(cands, 0), -1);
+  ASSERT_TRUE(s.formBatchIfDue());
+  const std::vector<PriorityFields> q{stamped(s, 0, 1, 0, 10, false),
+                                      stamped(s, 1, 2, 0, 20, true)};
+  EXPECT_EQ(firstByKey(SchedulerKind::ParBs, q), 1);
+  EXPECT_EQ(firstByScan(SchedulerKind::ParBs, q), 1);
 }
 
 // ---- Hostile snapshots -----------------------------------------------------
@@ -194,12 +198,11 @@ TEST(ParBs, EmptyCandidatesReturnsMinusOne) {
 
 constexpr std::uint64_t kMarkedId = 0xC0FFEE1234ull;
 
-/// One queued request of thread 3, marked by the batch its pick formed.
+/// One queued request of thread 3, marked by the batch it formed.
 std::string savedBatchOfOne() {
   ParBsScheduler s;
   s.onEnqueue(req(kMarkedId, 3, 10));
-  std::vector<Candidate> cands{cand(0, kMarkedId, 3, 10, 0, false)};
-  EXPECT_EQ(s.pick(cands, 100), 0);
+  EXPECT_TRUE(s.formBatchIfDue());
   EXPECT_TRUE(s.isMarked(kMarkedId));
   ckpt::Writer w;
   s.save(w);
@@ -253,60 +256,45 @@ TEST(SchedulerKindName, AllNamed) {
 
 // ---- Tie-break determinism -----------------------------------------------
 //
-// When candidates are indistinguishable under a policy's whole preference
-// chain, the FIRST candidate in scan order must win — a strict `better`
-// predicate never replaces the running best on a tie. This anchors bitwise
-// reproducibility: the controller builds candidates in queue order, so the
-// tie-break is "oldest queue position", independent of container or
-// optimization-level accidents.
+// When requests are indistinguishable under a policy's whole preference
+// chain, the one first in queue order must win: a strict prefers() never
+// replaces the running best on a tie, and the key ends in the request id,
+// which increases in queue order. This anchors bitwise reproducibility.
 
 TEST(TieBreaks, FcfsEqualArrivalKeepsFirstScanned) {
-  FcfsScheduler s;
-  std::vector<Candidate> cands{
-      cand(0, 7, 0, 50, 0, false),
-      cand(1, 3, 1, 50, 0, true),   // same arrival, different everything else
-      cand(2, 9, 2, 50, 0, false),
-  };
-  EXPECT_EQ(s.pick(cands, 100), 0);
+  const std::vector<PriorityFields> q{fields(3, 50, false), fields(7, 50, true),
+                                      fields(9, 50, false)};
+  EXPECT_EQ(firstByKey(SchedulerKind::Fcfs, q), 0);
+  EXPECT_EQ(firstByScan(SchedulerKind::Fcfs, q), 0);
 }
 
 TEST(TieBreaks, FrFcfsEqualRowHitEqualArrivalKeepsFirstScanned) {
-  FrFcfsScheduler s;
-  std::vector<Candidate> allHits{
-      cand(0, 1, 0, 50, 0, true),
-      cand(1, 2, 1, 50, 0, true),
-  };
-  EXPECT_EQ(s.pick(allHits, 100), 0);
-  std::vector<Candidate> allMisses{
-      cand(0, 1, 0, 50, 0, false),
-      cand(1, 2, 1, 50, 0, false),
-  };
-  EXPECT_EQ(s.pick(allMisses, 100), 0);
+  for (const bool hit : {true, false}) {
+    const std::vector<PriorityFields> q{fields(1, 50, hit), fields(2, 50, hit)};
+    EXPECT_EQ(firstByKey(SchedulerKind::FrFcfs, q), 0);
+    EXPECT_EQ(firstByScan(SchedulerKind::FrFcfs, q), 0);
+  }
 }
 
 TEST(TieBreaks, ParBsFullyTiedKeepsFirstScanned) {
-  ParBsScheduler s(5);
-  // Same thread, same arrival, same row state: marked flags and thread rank
-  // are identical, so the full chain ties and index 0 must win.
-  s.onEnqueue(req(1, 0, 50));
-  s.onEnqueue(req(2, 0, 50));
-  std::vector<Candidate> cands{
-      cand(0, 1, 0, 50, 0, true),
-      cand(1, 2, 0, 50, 0, true),
-  };
-  EXPECT_EQ(s.pick(cands, 100), 0);
+  // Same arrival, same row state, both marked with the same rank: the full
+  // chain ties and the first must win.
+  const std::vector<PriorityFields> q{fields(1, 50, true, true, 2),
+                                      fields(2, 50, true, true, 2)};
+  EXPECT_EQ(firstByKey(SchedulerKind::ParBs, q), 0);
+  EXPECT_EQ(firstByScan(SchedulerKind::ParBs, q), 0);
 }
 
-// ---- pickPair consistency -------------------------------------------------
+// ---- Keys against the pairwise order ---------------------------------------
 //
-// The fused single-scan pickPair() must return exactly what the base-class
-// reference (two independent pick() calls) returns, on every scheduler and
-// on randomized candidate sets that mix ready, near-future, and far-future
-// earliestIssue values. A qualified Scheduler::pickPair call bypasses the
-// virtual dispatch and runs the reference implementation.
+// The controller keeps the served records of one queue sorted by key; the
+// pairwise order (prefers(), first of equals in queue order) is the
+// reference. On seeded queues built the way the controller's are (ids
+// increase in queue order, arrivals never decrease, a few values per field
+// so arrival, row-hit and rank ties are common), key order must be exactly
+// the reference order, for every pair and for the sorted queue as a whole.
 
-std::vector<Candidate> randomCands(std::uint64_t seed, int n, Tick now) {
-  std::vector<Candidate> cands;
+std::vector<PriorityFields> randomQueue(std::uint64_t seed, int n) {
   // Tiny xorshift so the test controls its own reproducibility.
   std::uint64_t x = seed * 2654435761u + 1;
   auto next = [&x](std::uint64_t bound) {
@@ -315,68 +303,52 @@ std::vector<Candidate> randomCands(std::uint64_t seed, int n, Tick now) {
     x ^= x << 17;
     return x % bound;
   };
+  std::vector<PriorityFields> q;
+  std::uint64_t id = 1 + next(1000);
+  Tick arrival = static_cast<Tick>(next(100));
   for (int i = 0; i < n; ++i) {
-    Tick earliest;
-    switch (next(4)) {
-      case 0: earliest = now - static_cast<Tick>(next(1000)); break;  // ready
-      case 1: earliest = now + 1 + static_cast<Tick>(next(500)); break;
-      case 2: earliest = now + 100000 + static_cast<Tick>(next(100000)); break;
-      default: earliest = kTickNever / 2 + 1; break;  // beyond gate horizon
-    }
-    cands.push_back(cand(i, static_cast<std::uint64_t>(i) + 1,
-                         static_cast<ThreadId>(next(8)),
-                         static_cast<Tick>(next(5000)), earliest,
-                         next(2) == 0));
+    id += 1 + next(3);
+    arrival += static_cast<Tick>(next(3)) * 500;  // repeats often
+    const bool marked = next(2) == 0;
+    q.push_back(fields(id, arrival, next(2) == 0, marked, 1 + static_cast<int>(next(3))));
   }
-  return cands;
+  return q;
 }
 
-TEST(PickPair, MatchesTwoPickReferenceOnAllSchedulers) {
-  for (auto kind :
-       {SchedulerKind::Fcfs, SchedulerKind::FrFcfs, SchedulerKind::ParBs}) {
-    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-      auto fused = makeScheduler(kind);
-      auto reference = makeScheduler(kind);
-      const Tick now = 10000;
-      auto candsA = randomCands(seed, static_cast<int>(seed % 60) + 1, now);
-      auto candsB = candsA;
-      // Feed both schedulers the same queue view (ParBs batch state).
-      for (const auto& c : candsA) {
-        fused->onEnqueue(req(c.id, c.thread, c.arrival));
-        reference->onEnqueue(req(c.id, c.thread, c.arrival));
-      }
-      const auto got = fused->pickPair(candsA, now);
-      const auto want = reference->Scheduler::pickPair(candsB, now);
-      EXPECT_EQ(got.issuable, want.issuable)
+TEST(PriorityKey, OrderEqualsThePairwiseReference) {
+  for (auto kind : {SchedulerKind::Fcfs, SchedulerKind::FrFcfs, SchedulerKind::ParBs}) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      const auto q = randomQueue(seed, static_cast<int>(seed % 40) + 2);
+      // Reference "a before b": a preferred, or tied and earlier in queue.
+      auto before = [&](std::size_t a, std::size_t b) {
+        if (prefers(kind, q[a], q[b])) return true;
+        return !prefers(kind, q[b], q[a]) && a < b;
+      };
+      for (std::size_t a = 0; a < q.size(); ++a)
+        for (std::size_t b = 0; b < q.size(); ++b) {
+          if (a == b) continue;
+          EXPECT_EQ(priorityKey(kind, q[a]) < priorityKey(kind, q[b]), before(a, b))
+              << schedulerKindName(kind) << " seed " << seed << " pair " << a << "," << b;
+        }
+      EXPECT_EQ(firstByKey(kind, q), firstByScan(kind, q))
           << schedulerKindName(kind) << " seed " << seed;
-      EXPECT_EQ(got.overall, want.overall)
-          << schedulerKindName(kind) << " seed " << seed;
-      // pickPair must also stamp ParBs marked flags identically to pick().
-      for (std::size_t i = 0; i < candsA.size(); ++i)
-        EXPECT_EQ(candsA[i].marked, candsB[i].marked)
-            << schedulerKindName(kind) << " seed " << seed << " cand " << i;
     }
   }
 }
 
-TEST(PickPair, IssuableMatchesPickAndOverallIgnoresReadiness) {
-  FrFcfsScheduler s;
-  // Row-hit stream is ready now; a conflicting older request is ready just
-  // after `now` — the gate scenario: issuable = the hit, overall = the hit
-  // too (row hits outrank age in FR-FCFS), so overall==issuable here...
-  std::vector<Candidate> cands{
-      cand(0, 1, 0, 10, 150, false),  // older, not ready
-      cand(1, 2, 0, 90, 0, true),     // younger hit, ready
-  };
-  auto p = s.pickPair(cands, 100);
-  EXPECT_EQ(p.issuable, 1);
-  EXPECT_EQ(p.overall, 1);
-  // ...whereas under FCFS (age only) the overall favourite is the older,
-  // not-yet-ready request: exactly the pair the priority gate inspects.
-  FcfsScheduler fcfs;
-  auto p2 = fcfs.pickPair(cands, 100);
-  EXPECT_EQ(p2.issuable, 1);
-  EXPECT_EQ(p2.overall, 0);
+TEST(PriorityKey, FieldsLandInTheirBits) {
+  const std::uint64_t id = kKeyIdMask;  // the largest id a key holds
+  EXPECT_EQ(priorityKey(SchedulerKind::Fcfs, fields(id, 0, false, true, 3)), id);
+  EXPECT_EQ(priorityKey(SchedulerKind::FrFcfs, fields(id, 0, true)), id);
+  EXPECT_EQ(priorityKey(SchedulerKind::FrFcfs, fields(id, 0, false)), id | (1ull << 62));
+  EXPECT_EQ(priorityKey(SchedulerKind::ParBs, fields(id, 0, true, true, 3)),
+            id | (3ull << kKeyIdBits));
+  EXPECT_EQ(priorityKey(SchedulerKind::ParBs, fields(id, 0, false, false)),
+            id | (1ull << 62) | (1ull << 63));
+  // The largest rank a key holds still sorts below every unmarked request.
+  const int maxRank = (1 << kKeyThreadRankBits) - 1;
+  EXPECT_LT(priorityKey(SchedulerKind::ParBs, fields(id, 0, false, true, maxRank)),
+            priorityKey(SchedulerKind::ParBs, fields(1, 0, true, false)));
 }
 
 }  // namespace

@@ -86,13 +86,15 @@ cmake --build "$build_debug" -j"$(nproc)" \
 echo "== controller, golden and checkpoint tests with MB_DCHECKs =="
 # Every other stage builds RelWithDebInfo (NDEBUG), where MB_DCHECK compiles
 # out. This one runs the checks that only exist in Debug builds: the
-# request-arena generation check, the PAR-BS candidate-id check and the
-# controller's comparison of every cached arbitration record against the
-# ChannelState earliest* reference.
+# request-arena generation check, the PAR-BS dequeue-position check, the
+# controller's comparison of every cached arbitration record and key class
+# against the ChannelState earliest* reference, and of every pass's pick
+# against a scan of the served queue under the pairwise scheduler order
+# (RunSimulation.Arbitration* puts that on a 64-core RADIX run).
 "$build_debug/tests/mc_tests"
 "$build_debug/tests/integration_tests" --gtest_filter='GoldenReport.*'
 "$build_debug/tests/sim_tests" \
-  --gtest_filter='SnapshotGolden.*:Checkpoint.*:Warmup.*'
+  --gtest_filter='SnapshotGolden.*:Checkpoint.*:Warmup.*:RunSimulation.Arbitration*'
 "$build_debug/tests/ckpt_tests"
 
 echo "== mblint conformance =="
