@@ -147,8 +147,11 @@ void add(std::vector<Finding>& out, const char* code, std::string message,
 // ---------------------------------------------------------------------------
 // Per-file determinism checks (MB-DET-001..005).
 
+// LineTable (common/line_table.hpp) iterates in slot order, which depends
+// on its capacity history, so it counts as unordered too.
 constexpr const char* kUnordered[] = {"unordered_map", "unordered_set",
-                                      "unordered_multimap", "unordered_multiset"};
+                                      "unordered_multimap", "unordered_multiset",
+                                      "LineTable"};
 constexpr const char* kKeyedContainers[] = {
     "map", "multimap", "set", "multiset", "unordered_map", "unordered_set",
     "unordered_multimap", "unordered_multiset", "FlatMap"};

@@ -296,7 +296,10 @@ class LoadArchive {
   template <class T> void sub(T& obj) { obj.load(r_); }
 
   /// Rebuild a map written by SaveArchive::mapSorted; `minEntryBytes` is a
-  /// lower bound on one entry's encoded size (key included).
+  /// lower bound on one entry's encoded size (key included). A key the
+  /// writer cannot have produced fails: a repeated key (the writer emits
+  /// each key once) and a map's reserved empty-slot marker (kEmptyKey, see
+  /// common/line_table.hpp).
   template <class Map, class WalkValue>
   void mapSorted(Map& m, std::size_t minEntryBytes, WalkValue&& walkValue) {
     m.clear();
@@ -305,7 +308,10 @@ class LoadArchive {
       const auto key = static_cast<typename Map::key_type>(r_.i64());
       typename Map::mapped_type value{};
       walkValue(value);
-      m.emplace(key, std::move(value));
+      if constexpr (requires { Map::kEmptyKey; }) {
+        if (key == Map::kEmptyKey) return r_.fail();
+      }
+      if (!m.emplace(key, std::move(value)).second) r_.fail();
     }
   }
 

@@ -13,10 +13,11 @@
 // Shape: binary-searched sorted vector. O(log n) find, O(n) insert/erase
 // (memmove). It suits small, lookup-dominated maps (one entry per touched
 // μbank or thread), where contiguous storage wins against node- or
-// bucket-based maps. A large or insert/erase-heavy map that is only ever
-// used by key — the hierarchy's directory and pending fills — belongs in a
-// std::unordered_map instead, as long as its one walk is the archives'
-// mapSorted, which sorts the keys itself.
+// bucket-based maps. A large or insert/erase-heavy map keyed by line
+// address and only ever used by key — the hierarchy's directory and
+// pending fills — belongs in a LineTable (common/line_table.hpp) instead:
+// open addressing, no per-entry allocation, and its one walk is the
+// archives' mapSorted, which sorts the keys itself.
 //
 // The interface is the subset of std::map the call sites use: find/count/
 // at/operator[]/emplace/erase/clear/size/empty plus sorted begin()/end().

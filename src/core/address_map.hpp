@@ -46,6 +46,12 @@ class AddressMap {
              bool xorBankHash = false);
 
   DramAddress decompose(std::uint64_t physicalAddress) const;
+  /// decompose(physicalAddress).channel without the other fields (the
+  /// channel field is never XOR-folded).
+  int channelOf(std::uint64_t physicalAddress) const {
+    return static_cast<int>((physicalAddress >> (6 + colLowBits_)) &
+                            ((std::uint64_t{1} << chBits_) - 1));
+  }
   std::uint64_t compose(const DramAddress& addr) const;
 
   int interleaveBaseBit() const { return iB_; }

@@ -19,19 +19,23 @@ MemoryHierarchy::MemoryHierarchy(
   l2s_.reserve(static_cast<size_t>(cfg_.numClusters()));
   for (int c = 0; c < cfg_.numClusters(); ++c)
     l2s_.push_back(std::make_unique<Cache>(cfg_.l2Bytes, cfg_.l2Assoc));
+  // Clusters laid out on a square-ish mesh (4x4 for the 16-cluster system).
+  while (meshDim_ * meshDim_ < cfg_.numClusters()) ++meshDim_;
   prefetchTables_.resize(static_cast<size_t>(cfg_.numCores));
   for (auto& t : prefetchTables_)
     t.resize(static_cast<size_t>(cfg_.prefetchStreams));
 }
 
 void MemoryHierarchy::issuePrefetch(CoreId core, std::uint64_t lineAddr, Tick at) {
+  // Three side-effect-free filters, cheapest first: a fill already in
+  // flight (the small pending table), a line cached anywhere (lines cached
+  // elsewhere would need coherence actions a speculative prefetch should
+  // not trigger), and the cluster's own L2.
   const int cluster = clusterOf(core);
-  if (l2s_[static_cast<size_t>(cluster)]->peek(lineAddr) != nullptr) return;
   const auto key = pendingKey(cluster, lineAddr);
   if (pending_.count(key) != 0) return;
-  // Lines cached anywhere else would need coherence actions a speculative
-  // prefetch should not trigger.
   if (directory_.count(lineAddr) != 0) return;
+  if (l2s_[static_cast<size_t>(cluster)]->peek(lineAddr) != nullptr) return;
   PendingFill fill;
   fill.prefetch = true;
   pending_.emplace(key, std::move(fill));
@@ -87,11 +91,8 @@ void MemoryHierarchy::trainPrefetcher(CoreId core, std::uint64_t lineAddr, Tick 
 }
 
 int MemoryHierarchy::hops(int clusterA, int clusterB) const {
-  // Clusters laid out on a square-ish mesh (4x4 for the 16-cluster system).
-  int dim = 1;
-  while (dim * dim < cfg_.numClusters()) ++dim;
-  const int ax = clusterA % dim, ay = clusterA / dim;
-  const int bx = clusterB % dim, by = clusterB / dim;
+  const int ax = clusterA % meshDim_, ay = clusterA / meshDim_;
+  const int bx = clusterB % meshDim_, by = clusterB / meshDim_;
   return std::abs(ax - bx) + std::abs(ay - by);
 }
 
@@ -101,8 +102,7 @@ Tick MemoryHierarchy::nocLatency(int clusterA, int clusterB) const {
 
 int MemoryHierarchy::homeCluster(std::uint64_t lineAddr) const {
   // The directory lives with the memory controller that owns the address.
-  const int ch = mcs_.front()->addressMap().decompose(lineAddr).channel;
-  return ch % cfg_.numClusters();
+  return mcs_.front()->addressMap().channelOf(lineAddr) % cfg_.numClusters();
 }
 
 void MemoryHierarchy::postDramWrite(std::uint64_t lineAddr, CoreId core, Tick at) {
@@ -147,7 +147,7 @@ void MemoryHierarchy::trackTransit(Transit::Kind kind, Tick due,
       // address, so it can be computed at post time; the stamp minted here
       // fixes the message's merge position on the channel queue exactly
       // where the equivalent local event would have sorted.
-      const int ch = mcs_.front()->addressMap().decompose(lineAddr).channel;
+      const int ch = mcs_.front()->addressMap().channelOf(lineAddr);
       MB_CHECK(ch >= 0 && static_cast<size_t>(ch) < mcs_.size());
       mailbox_->postEnqueue(ch, due, eq_.issueStamp(), lineAddr, core,
                             kind == Transit::Kind::EnqWrite);
@@ -211,7 +211,7 @@ void MemoryHierarchy::fireTransit(std::uint64_t token) {
   switch (t.kind) {
     case Transit::Kind::EnqWrite:
     case Transit::Kind::EnqRead: {
-      const int ch = mcs_.front()->addressMap().decompose(t.lineAddr).channel;
+      const int ch = mcs_.front()->addressMap().channelOf(t.lineAddr);
       MB_CHECK(ch >= 0 && static_cast<size_t>(ch) < mcs_.size());
       mc::MemRequest req;
       req.addr = t.lineAddr;
@@ -265,11 +265,10 @@ void MemoryHierarchy::evictFromL2(int cluster, std::uint64_t lineAddr, bool dirt
   bool l1Dirty = false;
   invalidateClusterL1s(cluster, lineAddr, &l1Dirty);
   // Directory bookkeeping.
-  auto it = directory_.find(lineAddr);
-  if (it != directory_.end()) {
-    it->second.sharers &= ~(1u << cluster);
-    if (it->second.owner == cluster) it->second.owner = -1;
-    if (it->second.sharers == 0 && it->second.owner < 0) directory_.erase(it);
+  if (DirEntry* e = directory_.find(lineAddr); e != nullptr) {
+    e->sharers &= ~(1u << cluster);
+    if (e->owner == cluster) e->owner = -1;
+    if (e->sharers == 0 && e->owner < 0) directory_.erase(lineAddr);
   }
   if (dirty || l1Dirty) postDramWrite(lineAddr, cluster * cfg_.coresPerCluster, at);
 }
@@ -302,10 +301,10 @@ void MemoryHierarchy::fillLine(std::uint64_t lineAddr, int cluster, CoreId core,
 
 void MemoryHierarchy::onDramData(std::uint64_t lineAddr, int cluster, Tick dataTick) {
   const auto key = pendingKey(cluster, lineAddr);
-  auto it = pending_.find(key);
-  MB_CHECK(it != pending_.end());
-  PendingFill fill = std::move(it->second);
-  pending_.erase(it);
+  PendingFill* found = pending_.find(key);
+  MB_CHECK(found != nullptr);
+  PendingFill fill = std::move(*found);
+  pending_.erase(key);
 
   // Directory: this cluster now holds the line.
   auto& entry = directory_[lineAddr];
@@ -385,17 +384,17 @@ MemoryHierarchy::AccessResult MemoryHierarchy::access(CoreId core, std::uint64_t
 
   // ---- Cluster MSHR: join an in-flight fill -------------------------------
   const auto key = pendingKey(cluster, lineAddr);
-  if (auto it = pending_.find(key); it != pending_.end()) {
-    it->second.anyWrite |= write;
-    if (it->second.prefetch) {
-      it->second.prefetch = false;  // a demand now rides the prefetch fill
+  if (PendingFill* inFlight = pending_.find(key); inFlight != nullptr) {
+    inFlight->anyWrite |= write;
+    if (inFlight->prefetch) {
+      inFlight->prefetch = false;  // a demand now rides the prefetch fill
       ++stats_.prefetchUseful;
     }
     if (write && !onDone) {
-      it->second.waiters.push_back(Waiter{core, true, nullptr, -1});
+      inFlight->waiters.push_back(Waiter{core, true, nullptr, -1});
       return {true, l1Lat};  // fully posted store (no buffer accounting)
     }
-    it->second.waiters.push_back(Waiter{core, write, std::move(onDone), tag});
+    inFlight->waiters.push_back(Waiter{core, write, std::move(onDone), tag});
     return {false, 0};
   }
 
@@ -439,10 +438,9 @@ MemoryHierarchy::AccessResult MemoryHierarchy::access(CoreId core, std::uint64_t
 
   // ---- Directory: remote clusters --------------------------------------
   const int home = homeCluster(lineAddr);
-  auto dirIt = directory_.find(lineAddr);
-  if (dirIt != directory_.end() &&
-      (dirIt->second.owner >= 0 || dirIt->second.sharers != 0)) {
-    DirEntry& entry = dirIt->second;
+  if (DirEntry* dirEntry = directory_.find(lineAddr);
+      dirEntry != nullptr && (dirEntry->owner >= 0 || dirEntry->sharers != 0)) {
+    DirEntry& entry = *dirEntry;
     Tick lat = l2Lat + nocLatency(cluster, home) + cycles(cfg_.dirLatCycles);
 
     if (entry.owner >= 0 && entry.owner != cluster) {

@@ -18,12 +18,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ckpt/restore.hpp"
 #include "ckpt/serialize.hpp"
 #include "common/event_queue.hpp"
+#include "common/line_table.hpp"
 #include "common/ownership.hpp"
 #include "common/shard_mailbox.hpp"
 #include "common/stats.hpp"
@@ -229,16 +229,20 @@ class MB_CROSS_CHANNEL MemoryHierarchy {
   ShardMailbox* mailbox_ = nullptr;
   MB_SNAP_TRANSIENT(mailbox_, "wiring reference; in-flight messages live in the engine's ENG section");
 
+  int meshDim_ = 1;  // side of the square-ish cluster mesh hops() walks
+  MB_SNAP_TRANSIENT(meshDim_, "derived from the cluster count at construction");
+
   std::vector<std::unique_ptr<Cache>> l1s_;  // per core
   std::vector<std::unique_ptr<Cache>> l2s_;  // per cluster
   // The directory (one entry per line cached anywhere) and the pending
-  // DRAM fills keyed by (cluster, lineAddr) are hashed: the hot path does
-  // only keyed find/insert/erase, once or twice per miss and fill. Nothing
-  // iterates them except the io() walk, whose mapSorted writes entries in
-  // ascending key order, so hash order never reaches a report or a
-  // snapshot (MB-DET-001).
-  std::unordered_map<std::uint64_t, DirEntry> directory_;
-  std::unordered_map<std::uint64_t, PendingFill> pending_;
+  // DRAM fills keyed by pendingKey(cluster, lineAddr) are open-addressed
+  // line tables: the hot path does only keyed find/insert/erase, once or
+  // twice per miss and fill. A pointer into either is dead after the next
+  // insert or erase on it (evictFromL2 erases). Nothing iterates them
+  // except the io() walk, whose mapSorted writes entries in ascending key
+  // order, so slot order never reaches a report or a snapshot (MB-DET-001).
+  LineTable<DirEntry> directory_;
+  LineTable<PendingFill> pending_;
 
   struct StreamEntry {
     std::uint64_t lastLine = 0;

@@ -52,6 +52,25 @@ TEST(DetLint, RangeForOverUnorderedTrips001) {
   EXPECT_TRUE(run.engine.hasErrors());
 }
 
+// A LineTable walks in slot order, a function of its capacity history;
+// keyed use is fine.
+TEST(DetLint, LineTableWalkTrips001AndKeyedUseDoesNot) {
+  const auto walk = lintOne(R"(
+    #include "common/line_table.hpp"
+    int f(mb::LineTable<int>& t) {
+      int s = 0;
+      for (const auto& e : t) s += e.second;
+      return s + (t.begin() != t.end());
+    }
+  )");
+  EXPECT_EQ(countCode(walk, "MB-DET-001"), 2);
+  const auto keyed = lintOne(R"(
+    #include "common/line_table.hpp"
+    int g(mb::LineTable<int>& t) { return t.count(64) + t[128]; }
+  )");
+  EXPECT_EQ(countCode(keyed, "MB-DET-001"), 0);
+}
+
 TEST(DetLint, BeginWalkOverUnorderedTrips001) {
   const auto run = lintOne(R"(
     #include <unordered_set>

@@ -4,7 +4,8 @@
 // bytes to a value no honest writer produces. Fields are located relative
 // to an anchor: a distinctive 64-bit value the test put into the state (an
 // address, usually) whose little-endian encoding occurs at a known distance
-// from the field.
+// from the field, or by a byte offset the test derived from the section's
+// layout.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,24 @@ inline bool forgeI32After(std::string& bytes, std::uint64_t anchor,
   const auto v = static_cast<std::uint32_t>(value);
   for (int i = 0; i < 4; ++i)
     bytes[at + skip + static_cast<std::size_t>(i)] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return true;
+}
+
+/// The little-endian u64 at byte `at` (0 when it does not fit).
+inline std::uint64_t readU64At(const std::string& bytes, std::size_t at) {
+  if (at + 8 > bytes.size()) return 0;
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + static_cast<std::size_t>(i)]))
+         << (8 * i);
+  return v;
+}
+
+/// Overwrite the little-endian u64 at byte `at`; false when it does not fit.
+inline bool forgeU64At(std::string& bytes, std::size_t at, std::uint64_t value) {
+  if (at + 8 > bytes.size()) return false;
+  for (int i = 0; i < 8; ++i)
+    bytes[at + static_cast<std::size_t>(i)] = static_cast<char>((value >> (8 * i)) & 0xFF);
   return true;
 }
 

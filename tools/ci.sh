@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: build + full ctest under ASan+UBSan, the suite again in random
 # order three times, a TSan pass over the parallel sweep tests, the
-# controller, golden and checkpoint tests in a Debug build (MB_DCHECKs on), a
-# recorded (non-gating) perf-harness run in an unsanitized build tree, then
-# clang-tidy over src/.
+# controller, hierarchy, golden and checkpoint tests in a Debug build
+# (MB_DCHECKs on), a recorded (non-gating) perf-harness run in an
+# unsanitized build tree, then clang-tidy over src/.
 #
 # Usage:  tools/ci.sh [build-dir]        (default: build-ci)
 #
@@ -79,19 +79,23 @@ TSAN_OPTIONS=halt_on_error=1 \
 echo "== configure (${build_debug}) as a Debug build =="
 cmake -B "$build_debug" -S "$repo" -DCMAKE_BUILD_TYPE=Debug
 
-echo "== build the controller, golden and checkpoint tests in Debug =="
+echo "== build the controller, hierarchy, golden and checkpoint tests in Debug =="
 cmake --build "$build_debug" -j"$(nproc)" \
-  --target mc_tests integration_tests sim_tests ckpt_tests
+  --target mc_tests cpu_tests common_tests integration_tests sim_tests ckpt_tests
 
-echo "== controller, golden and checkpoint tests with MB_DCHECKs =="
+echo "== controller, hierarchy, golden and checkpoint tests with MB_DCHECKs =="
 # Every other stage builds RelWithDebInfo (NDEBUG), where MB_DCHECK compiles
 # out. This one runs the checks that only exist in Debug builds: the
 # request-arena generation check, the PAR-BS dequeue-position check, the
 # controller's comparison of every cached arbitration record and key class
 # against the ChannelState earliest* reference, and of every pass's pick
 # against a scan of the served queue under the pairwise scheduler order
-# (RunSimulation.Arbitration* puts that on a 64-core RADIX run).
+# (RunSimulation.Arbitration* puts that on a 64-core RADIX run), and the
+# cache's check that each way's tag-array validity bit matches its line
+# state after every mutation (on that RADIX run too).
 "$build_debug/tests/mc_tests"
+"$build_debug/tests/cpu_tests"
+"$build_debug/tests/common_tests"
 "$build_debug/tests/integration_tests" --gtest_filter='GoldenReport.*'
 "$build_debug/tests/sim_tests" \
   --gtest_filter='SnapshotGolden.*:Checkpoint.*:Warmup.*:RunSimulation.Arbitration*'
