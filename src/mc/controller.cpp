@@ -579,7 +579,6 @@ void MemoryController::issueFor(int slot, Tick now) {
                "now=%lldps",
                commandName(cmd), p.req.da.toString().c_str(),
                static_cast<long long>(earliest), static_cast<long long>(now));
-  if (commandTrace) commandTrace(cmd, p.req.da, now);
   markDirty(ub);
   ++commandsIssued_;
   switch (cmd) {

@@ -144,10 +144,6 @@ class MB_CHANNEL_LOCAL MemoryController {
 
   ControllerStats stats() const;
 
-  /// Optional command-stream observer (debugging / tests): invoked for every
-  /// ACT/PRE/RD/WR the controller commits, in issue order.
-  std::function<void(DramCommand, const core::DramAddress&, Tick)> commandTrace;
-
   const dram::EnergyMeter& energyMeter() const { return meter_; }
   const ChannelState& channel() const { return channel_; }
   const core::AddressMap& addressMap() const { return map_; }

@@ -10,6 +10,7 @@
 #include "common/event_queue.hpp"
 #include "common/rng.hpp"
 #include "mc/controller.hpp"
+#include "mc/command_log.hpp"
 
 namespace mb::mc {
 namespace {
@@ -158,16 +159,19 @@ TEST_F(ControllerBehaviorTest, PerBankRefreshKeepsServingOtherBanks) {
 }
 
 TEST_F(ControllerBehaviorTest, CommandTraceObservesEveryCommit) {
-  build();
-  int acts = 0, cas = 0, pres = 0;
-  mc_->commandTrace = [&](DramCommand cmd, const core::DramAddress&, Tick) {
-    if (cmd == DramCommand::Act) ++acts;
-    if (cmd == DramCommand::Read || cmd == DramCommand::Write) ++cas;
-    if (cmd == DramCommand::Pre) ++pres;
-  };
+  CommandLogRecorder log{CmdTraceConfig{}};
+  ControllerConfig cfg;
+  cfg.commandLog = &log;
+  build(cfg);
   read(lineOf(0, 1));
   read(lineOf(0, 2));  // conflict: PRE + ACT + RD
   eq_.run();
+  int acts = 0, cas = 0, pres = 0;
+  for (const CmdEvent& ev : log.trace().events) {
+    if (ev.kind == CmdEventKind::Act) ++acts;
+    if (ev.kind == CmdEventKind::Read || ev.kind == CmdEventKind::Write) ++cas;
+    if (ev.kind == CmdEventKind::Pre) ++pres;
+  }
   EXPECT_EQ(acts, 2);
   EXPECT_EQ(cas, 2);
   EXPECT_EQ(pres, 1);

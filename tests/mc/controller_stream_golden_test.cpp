@@ -4,7 +4,8 @@
 // every scheduler × page policy × refresh mode. The queues are kept small, so
 // the read window overflows and refills and write drains start and stop many
 // times per stream, and one thread issues most requests, so PAR-BS batches
-// leave some of its requests unmarked. Each stream's committed commands (commandTrace) and read
+// leave some of its requests unmarked. Each stream's committed commands (as
+// the controller's CommandLog sees them, idle precharges included) and read
 // completion ticks are hashed with FNV-1a64 and pinned in
 // tests/golden/controller_streams.txt: a change to arbitration that alters a
 // single command, its tick or its order fails here, long before the
@@ -23,6 +24,7 @@
 #include "common/rng.hpp"
 #include "golden_file.hpp"
 #include "mc/controller.hpp"
+#include "mc/command_log.hpp"
 
 #ifndef MB_CONTROLLER_GOLDEN_FILE
 #error "MB_CONTROLLER_GOLDEN_FILE must point at tests/golden/controller_streams.txt"
@@ -89,20 +91,12 @@ StreamResult runStream(const StreamCase& c, std::uint64_t seed) {
   cfg.enableTimingCheck = true;
   cfg.refreshEnabled = true;
   cfg.perBankRefresh = c.perBankRefresh;
+  CommandLogRecorder log{CmdTraceConfig{}};
+  cfg.commandLog = &log;
   EventQueue eq;
   MemoryController mc(0, g, dram::TimingParams::tsi(), dram::EnergyParams::lpddrTsi(), map,
                       cfg, eq);
 
-  Fnv cmds;
-  mc.commandTrace = [&cmds](DramCommand cmd, const core::DramAddress& da, Tick at) {
-    cmds.mix(static_cast<std::uint64_t>(cmd));
-    cmds.mix(static_cast<std::uint64_t>(da.rank));
-    cmds.mix(static_cast<std::uint64_t>(da.bank));
-    cmds.mix(static_cast<std::uint64_t>(da.ubank));
-    cmds.mix(static_cast<std::uint64_t>(da.row));
-    cmds.mix(static_cast<std::uint64_t>(da.column));
-    cmds.mix(static_cast<std::uint64_t>(at));
-  };
 
   // Few rows on a few μbanks, so row hits, conflicts and same-μbank
   // queueing are all common; a tenth of the requests reuse a
@@ -144,6 +138,19 @@ StreamResult runStream(const StreamCase& c, std::uint64_t seed) {
   }
   eq.run();
 
+  // Committed ACT/PRE/RD/WR commands, the page policy's idle precharges
+  // included; refresh intervals and oracle pseudo-precharges are left out.
+  Fnv cmds;
+  for (const CmdEvent& ev : log.trace().events) {
+    if (ev.kind > CmdEventKind::Write) continue;
+    cmds.mix(static_cast<std::uint64_t>(ev.kind));
+    cmds.mix(static_cast<std::uint64_t>(ev.rank));
+    cmds.mix(static_cast<std::uint64_t>(ev.bank));
+    cmds.mix(static_cast<std::uint64_t>(ev.ubank));
+    cmds.mix(static_cast<std::uint64_t>(ev.row));
+    cmds.mix(static_cast<std::uint64_t>(ev.column));
+    cmds.mix(static_cast<std::uint64_t>(ev.at));
+  }
   for (const Tick t : done) cmds.mix(static_cast<std::uint64_t>(t));
   return {cmds.h, mc.stats(), mc.outstanding()};
 }
@@ -162,7 +169,8 @@ TEST(ControllerStreamGolden, CommandStreamsMatchCommittedHashes) {
   }
   if (golden::updating()) {
     golden::rewrite(MB_CONTROLLER_GOLDEN_FILE,
-                    "# FNV-1a64 of each seeded controller stream's commandTrace and read\n"
+                    "# FNV-1a64 of each seeded controller stream's committed commands\n"
+                    "# (its CommandLog: ACT/PRE/RD/WR, idle precharges included) and read\n"
                     "# completion ticks (tests/mc/controller_stream_golden_test.cpp).\n"
                     "# Regenerate: MB_UPDATE_GOLDEN=1 ./build/tests/mc_tests "
                     "--gtest_filter='ControllerStreamGolden.*'\n",

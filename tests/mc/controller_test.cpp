@@ -1,4 +1,5 @@
 #include "mc/controller.hpp"
+#include "mc/command_log.hpp"
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,8 @@ class ControllerTest : public ::testing::Test {
     cfg.scheduler = sched;
     cfg.enableTimingCheck = true;
     cfg.refreshEnabled = false;
+    cfg.commandLog = &log_;
+    log_.trace().events.clear();
     mc_.emplace(0, geom_, dram::TimingParams::tsi(), dram::EnergyParams::lpddrTsi(),
                 *map_, cfg, eq_);
   }
@@ -87,12 +90,22 @@ class ControllerTest : public ::testing::Test {
     read(bankAddr(0, 1));
     read(bankAddr(1, 5));
     eq_.run();
-    mc_->commandTrace = [this](DramCommand cmd, const core::DramAddress& da, Tick) {
-      if (da.bank == 0 && da.rank == 0) bank0_.push_back(cmd);
-    };
+    recordFrom_ = log_.trace().events.size();
     const Tick t0 = eq_.now();
     write(bankAddr(1, 5));
     return t0;
+  }
+
+  /// Rank-0 bank-0 commands committed since recordFrom_, in issue order.
+  std::vector<DramCommand> bank0Commands() const {
+    std::vector<DramCommand> out;
+    const auto& events = log_.trace().events;
+    for (std::size_t i = recordFrom_; i < events.size(); ++i) {
+      const CmdEvent& ev = events[i];
+      if (ev.kind <= CmdEventKind::Write && ev.bank == 0 && ev.rank == 0)
+        out.push_back(static_cast<DramCommand>(ev.kind));
+    }
+    return out;
   }
 
   /// Enqueues a read `delay` after `t0` (a later arrival than anything
@@ -108,7 +121,8 @@ class ControllerTest : public ::testing::Test {
   std::optional<core::AddressMap> map_;
   std::optional<MemoryController> mc_;
   std::vector<Tick> done_;
-  std::vector<DramCommand> bank0_;  // rank-0 bank-0 commands, when recorded
+  CommandLogRecorder log_{CmdTraceConfig{}};  // every committed command
+  std::size_t recordFrom_ = 0;  // first event bank0Commands() reports
 };
 
 TEST_F(ControllerTest, SingleReadCompletesWithMissLatency) {
@@ -391,17 +405,18 @@ TEST_F(ControllerTest, KickBookkeepingStaysBoundedUnderIdleThenBurst) {
   EXPECT_LE(maxLive, 6u);
 }
 
-// commandsIssued counts every committed ACT, PRE and CAS; under the open
-// policy there are no idle closes, so that is every command the trace sees.
+// commandsIssued counts every committed ACT, PRE and CAS, the close
+// policy's idle precharges included: every command the command log sees.
 TEST_F(ControllerTest, CommandsIssuedCountsEveryCommit) {
-  build();
-  std::int64_t traced = 0;
-  mc_->commandTrace = [&](DramCommand, const core::DramAddress&, Tick) { ++traced; };
-  for (int i = 0; i < 24; ++i) read(bankAddr(i % 3, i % 5));
-  for (int i = 0; i < 8; ++i) write(bankAddr(4, i));
-  eq_.run();
-  ASSERT_GT(traced, 24);
-  EXPECT_EQ(mc_->stats().commandsIssued, traced);
+  for (const auto policy : {core::PolicyKind::Open, core::PolicyKind::Close}) {
+    build(1, 1, policy);
+    for (int i = 0; i < 24; ++i) read(bankAddr(i % 3, i % 5));
+    for (int i = 0; i < 8; ++i) write(bankAddr(4, i));
+    eq_.run();
+    const auto traced = static_cast<std::int64_t>(log_.trace().events.size());
+    ASSERT_GT(traced, 24);
+    EXPECT_EQ(mc_->stats().commandsIssued, traced);
+  }
 }
 
 // A read admitted to the overflow FIFO changes nothing arbitration sees, so
@@ -529,9 +544,10 @@ TEST_F(ControllerTest, OlderRowUserBlocksAYoungerConflictingPrecharge) {
   size_t younger = 0;
   readLater(t0, ns(2), bankAddr(0, 2), 0, younger);  // conflict, arrives later
   eq_.run();
-  ASSERT_GE(bank0_.size(), 2u);
-  EXPECT_EQ(bank0_[0], DramCommand::Read);  // the older row hit kept its row
-  EXPECT_EQ(bank0_[1], DramCommand::Pre);
+  const auto bank0 = bank0Commands();
+  ASSERT_GE(bank0.size(), 2u);
+  EXPECT_EQ(bank0[0], DramCommand::Read);  // the older row hit kept its row
+  EXPECT_EQ(bank0[1], DramCommand::Pre);
   EXPECT_LT(done_[older], done_[younger]);
   EXPECT_EQ(mc_->outstanding(), 0);
 }
@@ -549,8 +565,9 @@ TEST_F(ControllerTest, MarkedYoungerRequestMayPrechargeOverUnmarkedOlderRowUser)
   size_t younger = 0;
   readLater(t0, ns(2), bankAddr(0, 2), 1, younger);
   eq_.run();
-  ASSERT_GE(bank0_.size(), 2u);
-  EXPECT_EQ(bank0_[0], DramCommand::Pre);  // the marked request closed the row
+  const auto bank0 = bank0Commands();
+  ASSERT_GE(bank0.size(), 2u);
+  EXPECT_EQ(bank0[0], DramCommand::Pre);  // the marked request closed the row
   EXPECT_LT(done_[younger], done_[older]);
   EXPECT_EQ(mc_->outstanding(), 0);
 }
@@ -559,9 +576,7 @@ TEST_F(ControllerTest, OlderRowUserInTheWriteQueueOutsideADrainDoesNotBlock) {
   build();
   read(bankAddr(0, 1));
   eq_.run();
-  mc_->commandTrace = [this](DramCommand cmd, const core::DramAddress& da, Tick) {
-    if (da.bank == 0 && da.rank == 0) bank0_.push_back(cmd);
-  };
+  recordFrom_ = log_.trace().events.size();
   const Tick t0 = eq_.now();
   // A read to a closed bank keeps the read queue busy, so the older write
   // to the open row waits in the write queue, outside a drain burst.
@@ -570,8 +585,9 @@ TEST_F(ControllerTest, OlderRowUserInTheWriteQueueOutsideADrainDoesNotBlock) {
   size_t younger = 0;
   readLater(t0, ns(2), bankAddr(0, 2), 0, younger);
   eq_.run();
-  ASSERT_GE(bank0_.size(), 1u);
-  EXPECT_EQ(bank0_[0], DramCommand::Pre);  // the queued write did not block it
+  const auto bank0 = bank0Commands();
+  ASSERT_GE(bank0.size(), 1u);
+  EXPECT_EQ(bank0[0], DramCommand::Pre);  // the queued write did not block it
   EXPECT_GE(done_[younger], 0);
   EXPECT_EQ(mc_->outstanding(), 0);  // the write drained afterwards
 }
@@ -581,8 +597,9 @@ TEST_F(ControllerTest, EqualArrivalRowUserDoesNotBlock) {
   const size_t first = read(bankAddr(0, 1));   // row hit, CAS held by tWTR
   const size_t second = read(bankAddr(0, 2));  // same arrival tick
   eq_.run();
-  ASSERT_GE(bank0_.size(), 1u);
-  EXPECT_EQ(bank0_[0], DramCommand::Pre);  // the guard is strictly older
+  const auto bank0 = bank0Commands();
+  ASSERT_GE(bank0.size(), 1u);
+  EXPECT_EQ(bank0[0], DramCommand::Pre);  // the guard is strictly older
   EXPECT_GE(done_[first], 0);
   EXPECT_GE(done_[second], 0);
   EXPECT_EQ(mc_->outstanding(), 0);
